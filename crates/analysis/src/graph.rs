@@ -10,27 +10,27 @@
 ///
 /// `succs(u, out)` must push `u`'s successors into `out`.
 pub fn generic_rpo(n: usize, root: usize, succs: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
-    let mut state = vec![0u8; n];
+    let mut seen = vec![false; n];
     let mut postorder = Vec::new();
-    let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-    let mut succ_buf: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut fetched = vec![false; n];
-    state[root] = 1;
-    while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-        if !fetched[u] {
-            succs(u, &mut succ_buf[u]);
-            fetched[u] = true;
-        }
-        if *next < succ_buf[u].len() {
-            let v = succ_buf[u][*next];
+    // The successors of every node on the DFS stack sit in `buf`, the
+    // top node's last. A frame is (node, next successor, first successor).
+    let mut buf = Vec::new();
+    succs(root, &mut buf);
+    let mut stack: Vec<(usize, usize, usize)> = vec![(root, 0, 0)];
+    seen[root] = true;
+    while let Some(&mut (u, ref mut next, start)) = stack.last_mut() {
+        if *next < buf.len() {
+            let v = buf[*next];
             *next += 1;
-            if state[v] == 0 {
-                state[v] = 1;
-                stack.push((v, 0));
+            if !seen[v] {
+                seen[v] = true;
+                let first = buf.len();
+                succs(v, &mut buf);
+                stack.push((v, first, first));
             }
         } else {
-            state[u] = 2;
             postorder.push(u);
+            buf.truncate(start);
             stack.pop();
         }
     }
@@ -46,6 +46,8 @@ pub struct GenericDomTree {
     idom: Vec<usize>,
     /// Nodes in reverse postorder.
     order: Vec<usize>,
+    /// Dominator-tree children per node, in RPO order.
+    children: Vec<Vec<usize>>,
     pre: Vec<u32>,
     post: Vec<u32>,
 }
@@ -66,14 +68,19 @@ impl GenericDomTree {
         for (i, &u) in order.iter().enumerate() {
             number[u] = i;
         }
+        // Translates raw predecessors to RPO positions in place,
+        // dropping unreachable ones.
         let pred_pos = |i: usize, out: &mut Vec<usize>| {
-            let mut raw = Vec::new();
-            preds(order[i], &mut raw);
-            for p in raw {
-                if number[p] != usize::MAX {
-                    out.push(number[p]);
+            let start = out.len();
+            preds(order[i], out);
+            let mut kept = start;
+            for r in start..out.len() {
+                if number[out[r]] != usize::MAX {
+                    out[kept] = number[out[r]];
+                    kept += 1;
                 }
             }
+            out.truncate(kept);
         };
         let idom_pos = crate::domtree::chk_solve_public(order.len(), &pred_pos);
         let mut idom = vec![usize::MAX; n];
@@ -109,7 +116,7 @@ impl GenericDomTree {
                 stack.pop();
             }
         }
-        GenericDomTree { idom, order, pre, post }
+        GenericDomTree { idom, order, children, pre, post }
     }
 
     /// Nodes in reverse postorder.
@@ -137,8 +144,8 @@ impl GenericDomTree {
     }
 
     /// Children of `u` in the dominator tree, in RPO order.
-    pub fn children(&self, u: usize) -> Vec<usize> {
-        self.order.iter().copied().filter(|&c| c != u && self.idom[c] == u).collect()
+    pub fn children(&self, u: usize) -> &[usize] {
+        &self.children[u]
     }
 
     /// Dominance frontiers of every node (Cytron's algorithm).
@@ -151,13 +158,12 @@ impl GenericDomTree {
         for &b in &self.order {
             buf.clear();
             preds(b, &mut buf);
-            let reachable_preds: Vec<usize> =
-                buf.iter().copied().filter(|&p| self.is_reachable(p)).collect();
-            if reachable_preds.len() < 2 {
+            buf.retain(|&p| self.is_reachable(p));
+            if buf.len() < 2 {
                 continue;
             }
             let idom_b = self.idom[b];
-            for p in reachable_preds {
+            for &p in &buf {
                 let mut runner = p;
                 while runner != idom_b {
                     if !df[runner].contains(&b) {
@@ -228,7 +234,7 @@ mod tests {
         assert_eq!(dt.idom(5), Some(1));
         assert!(dt.dominates(1, 4));
         assert!(!dt.dominates(2, 4));
-        let mut kids = dt.children(1);
+        let mut kids = dt.children(1).to_vec();
         kids.sort_unstable();
         assert_eq!(kids, vec![2, 3, 4, 5]);
     }

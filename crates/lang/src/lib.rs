@@ -30,7 +30,7 @@ pub mod token;
 
 pub use ast::{Expr, Routine, Stmt};
 pub use lower::lower;
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use printer::print_routine;
 pub use token::{lex, LexError, Token};
 

@@ -13,9 +13,10 @@ use pgvn_ir::CmpOp;
 use pgvn_ssa::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
 use std::collections::HashMap;
 
-struct Lowerer {
+struct Lowerer<'a> {
     vf: VarFunction,
-    vars: HashMap<String, Var>,
+    /// Variables by source name, keyed by the AST's own strings.
+    vars: HashMap<&'a str, Var>,
     /// (continue target, break target) per enclosing loop.
     loops: Vec<(usize, usize)>,
     cur: usize,
@@ -25,14 +26,9 @@ struct Lowerer {
     done: bool,
 }
 
-impl Lowerer {
-    fn var(&mut self, name: &str) -> Var {
-        if let Some(&v) = self.vars.get(name) {
-            return v;
-        }
-        let v = self.vf.add_var(name);
-        self.vars.insert(name.to_string(), v);
-        v
+impl<'a> Lowerer<'a> {
+    fn var(&mut self, name: &'a str) -> Var {
+        *self.vars.entry(name).or_insert_with(|| self.vf.add_var(name))
     }
 
     fn fresh_block_if_done(&mut self) {
@@ -47,7 +43,7 @@ impl Lowerer {
         self.done = true;
     }
 
-    fn expr(&mut self, e: &Expr) -> VarExpr {
+    fn expr(&mut self, e: &'a Expr) -> VarExpr {
         match e {
             Expr::Int(v) => VarExpr::Const(*v),
             Expr::Var(name) => VarExpr::Var(self.var(name)),
@@ -78,7 +74,7 @@ impl Lowerer {
 
     /// Lowers `e` to a 0/1 truth value, skipping the `!= 0` normalization
     /// when the lowered expression is already a comparison.
-    fn truth(&mut self, e: &Expr) -> VarExpr {
+    fn truth(&mut self, e: &'a Expr) -> VarExpr {
         let v = self.expr(e);
         match v {
             VarExpr::Cmp(..) => v,
@@ -87,13 +83,13 @@ impl Lowerer {
         }
     }
 
-    fn stmts(&mut self, stmts: &[Stmt]) {
+    fn stmts(&mut self, stmts: &'a [Stmt]) {
         for s in stmts {
             self.stmt(s);
         }
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &'a Stmt) {
         self.fresh_block_if_done();
         match s {
             Stmt::Assign(name, e) => {
@@ -223,10 +219,8 @@ impl Lowerer {
 pub fn lower(routine: &Routine) -> VarFunction {
     let param_refs: Vec<&str> = routine.params.iter().map(String::as_str).collect();
     let vf = VarFunction::new(routine.name.clone(), &param_refs);
-    let mut vars = HashMap::new();
-    for (i, p) in routine.params.iter().enumerate() {
-        vars.insert(p.clone(), vf.param_vars()[i]);
-    }
+    let vars =
+        routine.params.iter().map(String::as_str).zip(vf.param_vars().iter().copied()).collect();
     let mut l = Lowerer { vf, vars, loops: Vec::new(), cur: 0, done: false };
     l.stmts(&routine.body);
     if !l.done {

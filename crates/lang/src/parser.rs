@@ -14,7 +14,13 @@
 //! ```
 //!
 //! Expression precedence, loosest first: `||`, `&&`, `|`, `^`, `&`,
-//! equality, relational, shifts, additive, multiplicative, unary.
+//! equality, relational, shifts, additive, multiplicative, unary. Binary
+//! operators are parsed by precedence climbing over [`infix`]'s table;
+//! every level is left-associative.
+//!
+//! Nesting is bounded by [`MAX_NESTING`], so the recursive stages after
+//! the parser (lowering, SSA flattening, dropping the AST) run in bounded
+//! stack on any input.
 
 use crate::ast::{Expr, Routine, Stmt};
 use crate::token::{lex, LexError, Token};
@@ -45,11 +51,59 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting [`parse`] accepts. Statement bodies, brackets,
+/// prefix operators and pending binary operators each open one level,
+/// and an expression's operator height counts on top of the levels open
+/// around it, so a 300-term `a + a + … + a` chain is as deep as 300
+/// nested brackets. Deeper input is a [`ParseError`].
+///
+/// The deepest routine the generator makes is a 300-statement one whose
+/// closing checksum is a left-deep chain, at about 95; the paper
+/// fixtures and examples stay under 70. At this bound every stage of the
+/// path runs on a default 2 MiB thread stack, unoptimised builds too.
+pub const MAX_NESTING: usize = 256;
+
+/// What an infix operator builds.
+#[derive(Clone, Copy)]
+enum Infix {
+    Or,
+    And,
+    Bin(BinOp),
+    Cmp(CmpOp),
+}
+
+/// The binding power of an infix token (higher binds tighter).
+fn infix(t: &Token) -> Option<(u8, Infix)> {
+    Some(match t {
+        Token::OrOr => (1, Infix::Or),
+        Token::AndAnd => (2, Infix::And),
+        Token::Pipe => (3, Infix::Bin(BinOp::Or)),
+        Token::Caret => (4, Infix::Bin(BinOp::Xor)),
+        Token::Amp => (5, Infix::Bin(BinOp::And)),
+        Token::EqEq => (6, Infix::Cmp(CmpOp::Eq)),
+        Token::NotEq => (6, Infix::Cmp(CmpOp::Ne)),
+        Token::Lt => (7, Infix::Cmp(CmpOp::Lt)),
+        Token::Le => (7, Infix::Cmp(CmpOp::Le)),
+        Token::Gt => (7, Infix::Cmp(CmpOp::Gt)),
+        Token::Ge => (7, Infix::Cmp(CmpOp::Ge)),
+        Token::Shl => (8, Infix::Bin(BinOp::Shl)),
+        Token::Shr => (8, Infix::Bin(BinOp::Shr)),
+        Token::Plus => (9, Infix::Bin(BinOp::Add)),
+        Token::Minus => (9, Infix::Bin(BinOp::Sub)),
+        Token::Star => (10, Infix::Bin(BinOp::Mul)),
+        Token::Slash => (10, Infix::Bin(BinOp::Div)),
+        Token::Percent => (10, Infix::Bin(BinOp::Rem)),
+        _ => return None,
+    })
+}
+
 struct Parser {
     toks: Vec<(Token, u32)>,
     pos: usize,
     /// Auto-assigned tokens for `opaque()` with no argument.
     next_opaque: u32,
+    /// Nesting levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -68,10 +122,39 @@ impl Parser {
         ParseError { line: self.line(), message: message.into() }
     }
 
+    /// Moves the current token out; consumed tokens are never read
+    /// again, so a cheap placeholder is left behind.
     fn bump(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+        let t = self.toks.get_mut(self.pos).map(|(t, _)| std::mem::replace(t, Token::Semi));
         self.pos += 1;
         t
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.error(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Checks an expression node of operator height `height` against
+    /// the levels open around it.
+    fn fits(&self, height: usize) -> Result<usize, ParseError> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(height)
     }
 
     fn eat(&mut self, want: &Token) -> Result<(), ParseError> {
@@ -137,11 +220,10 @@ impl Parser {
     }
 
     fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        if self.peek() == Some(&Token::LBrace) {
-            self.block()
-        } else {
-            Ok(vec![self.stmt()?])
-        }
+        self.nested(|p| match p.peek() {
+            Some(Token::LBrace) => p.block(),
+            _ => Ok(vec![p.stmt()?]),
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -176,46 +258,7 @@ impl Parser {
             }
             Some(Token::Switch) => {
                 self.pos += 1;
-                self.eat(&Token::LParen)?;
-                let scrutinee = self.expr()?;
-                self.eat(&Token::RParen)?;
-                self.eat(&Token::LBrace)?;
-                let mut cases: Vec<(i64, Vec<Stmt>)> = Vec::new();
-                let mut default = Vec::new();
-                let mut saw_default = false;
-                loop {
-                    match self.peek() {
-                        Some(Token::Case) => {
-                            self.pos += 1;
-                            let neg = self.at(&Token::Minus);
-                            let raw = match self.bump() {
-                                Some(Token::Int(v)) => v,
-                                _ => return Err(self.error("expected integer case value")),
-                            };
-                            let value = if neg { raw.wrapping_neg() } else { raw };
-                            if cases.iter().any(|&(c, _)| c == value) {
-                                return Err(self.error(format!("duplicate case value {value}")));
-                            }
-                            self.eat(&Token::Colon)?;
-                            cases.push((value, self.stmt_or_block()?));
-                        }
-                        Some(Token::Default) => {
-                            if saw_default {
-                                return Err(self.error("duplicate default case"));
-                            }
-                            self.pos += 1;
-                            self.eat(&Token::Colon)?;
-                            default = self.stmt_or_block()?;
-                            saw_default = true;
-                        }
-                        Some(Token::RBrace) => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return Err(self.error("expected `case`, `default` or `}` in switch")),
-                    }
-                }
-                Ok(Stmt::Switch(scrutinee, cases, default))
+                self.switch()
             }
             Some(Token::Break) => {
                 self.pos += 1;
@@ -251,157 +294,95 @@ impl Parser {
         }
     }
 
+    /// The rest of a `switch` statement after the keyword.
+    fn switch(&mut self) -> Result<Stmt, ParseError> {
+        self.eat(&Token::LParen)?;
+        let scrutinee = self.expr()?;
+        self.eat(&Token::RParen)?;
+        self.eat(&Token::LBrace)?;
+        let mut cases: Vec<(i64, Vec<Stmt>)> = Vec::new();
+        let mut default = Vec::new();
+        let mut saw_default = false;
+        loop {
+            match self.peek() {
+                Some(Token::Case) => {
+                    self.pos += 1;
+                    let neg = self.at(&Token::Minus);
+                    let raw = match self.bump() {
+                        Some(Token::Int(v)) => v,
+                        _ => return Err(self.error("expected integer case value")),
+                    };
+                    let value = if neg { raw.wrapping_neg() } else { raw };
+                    if cases.iter().any(|&(c, _)| c == value) {
+                        return Err(self.error(format!("duplicate case value {value}")));
+                    }
+                    self.eat(&Token::Colon)?;
+                    cases.push((value, self.stmt_or_block()?));
+                }
+                Some(Token::Default) => {
+                    if saw_default {
+                        return Err(self.error("duplicate default case"));
+                    }
+                    self.pos += 1;
+                    self.eat(&Token::Colon)?;
+                    default = self.stmt_or_block()?;
+                    saw_default = true;
+                }
+                Some(Token::RBrace) => {
+                    self.pos += 1;
+                    break;
+                }
+                _ => return Err(self.error("expected `case`, `default` or `}` in switch")),
+            }
+        }
+        Ok(Stmt::Switch(scrutinee, cases, default))
+    }
+
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.logical_or()
+        Ok(self.climb(0)?.0)
     }
 
-    fn logical_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.logical_and()?;
-        while self.at(&Token::OrOr) {
-            let rhs = self.logical_and()?;
-            lhs = Expr::LogicalOr(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bit_or()?;
-        while self.at(&Token::AndAnd) {
-            let rhs = self.bit_or()?;
-            lhs = Expr::LogicalAnd(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bit_xor()?;
-        while self.at(&Token::Pipe) {
-            let rhs = self.bit_xor()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.bit_and()?;
-        while self.at(&Token::Caret) {
-            let rhs = self.bit_and()?;
-            lhs = Expr::Binary(BinOp::Xor, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality()?;
-        while self.at(&Token::Amp) {
-            let rhs = self.equality()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::EqEq) => CmpOp::Eq,
-                Some(Token::NotEq) => CmpOp::Ne,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.relational()?;
-            lhs = Expr::Cmp(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.shift()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Lt) => CmpOp::Lt,
-                Some(Token::Le) => CmpOp::Le,
-                Some(Token::Gt) => CmpOp::Gt,
-                Some(Token::Ge) => CmpOp::Ge,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.shift()?;
-            lhs = Expr::Cmp(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Shl) => BinOp::Shl,
-                Some(Token::Shr) => BinOp::Shr,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.additive()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Rem,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Some(Token::Minus) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
+    /// Precedence climbing: parses a unary operand followed by every
+    /// infix operator binding tighter than `min_bp`. Returns the
+    /// expression with its operator height.
+    fn climb(&mut self, min_bp: u8) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = self.unary()?;
+        while let Some((bp, op)) = self.peek().and_then(infix) {
+            if bp <= min_bp {
+                break;
             }
-            Some(Token::Tilde) => {
-                self.pos += 1;
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
-            }
-            Some(Token::Bang) => {
-                self.pos += 1;
-                Ok(Expr::LogicalNot(Box::new(self.unary()?)))
-            }
-            _ => self.primary(),
+            self.pos += 1;
+            let (rhs, rhs_height) = self.nested(|p| p.climb(bp))?;
+            height = self.fits(1 + height.max(rhs_height))?;
+            let (l, r) = (Box::new(lhs), Box::new(rhs));
+            lhs = match op {
+                Infix::Or => Expr::LogicalOr(l, r),
+                Infix::And => Expr::LogicalAnd(l, r),
+                Infix::Bin(op) => Expr::Binary(op, l, r),
+                Infix::Cmp(op) => Expr::Cmp(op, l, r),
+            };
         }
+        Ok((lhs, height))
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.bump() {
-            Some(Token::Int(v)) => Ok(Expr::Int(v)),
-            Some(Token::True) => Ok(Expr::Int(1)),
-            Some(Token::False) => Ok(Expr::Int(0)),
-            Some(Token::Ident(s)) => Ok(Expr::Var(s)),
+    fn unary(&mut self) -> Result<(Expr, usize), ParseError> {
+        let wrap: fn(Box<Expr>) -> Expr = match self.peek() {
+            Some(Token::Minus) => |e| Expr::Unary(UnOp::Neg, e),
+            Some(Token::Tilde) => |e| Expr::Unary(UnOp::Not, e),
+            Some(Token::Bang) => Expr::LogicalNot,
+            _ => return self.primary(),
+        };
+        self.pos += 1;
+        let (e, height) = self.nested(Self::unary)?;
+        Ok((wrap(Box::new(e)), self.fits(height + 1)?))
+    }
+
+    fn primary(&mut self) -> Result<(Expr, usize), ParseError> {
+        let leaf = match self.bump() {
+            Some(Token::Int(v)) => Expr::Int(v),
+            Some(Token::True) => Expr::Int(1),
+            Some(Token::False) => Expr::Int(0),
+            Some(Token::Ident(s)) => Expr::Var(s),
             Some(Token::Opaque) => {
                 self.eat(&Token::LParen)?;
                 let token = if self.peek() == Some(&Token::RParen) {
@@ -419,19 +400,22 @@ impl Parser {
                     }
                 };
                 self.eat(&Token::RParen)?;
-                Ok(Expr::Opaque(token))
+                Expr::Opaque(token)
             }
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                let inner = self.nested(|p| p.climb(0))?;
                 self.eat(&Token::RParen)?;
-                Ok(e)
+                return Ok(inner);
             }
-            Some(t) => Err(ParseError {
-                line: self.toks[self.pos - 1].1,
-                message: format!("expected expression, found `{t}`"),
-            }),
-            None => Err(self.error("expected expression, found end of input")),
-        }
+            Some(t) => {
+                return Err(ParseError {
+                    line: self.toks[self.pos - 1].1,
+                    message: format!("expected expression, found `{t}`"),
+                })
+            }
+            None => return Err(self.error("expected expression, found end of input")),
+        };
+        Ok((leaf, 0))
     }
 }
 
@@ -452,7 +436,7 @@ impl Parser {
 /// ```
 pub fn parse(src: &str) -> Result<Routine, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, next_opaque: 1_000_000 };
+    let mut p = Parser { toks, pos: 0, next_opaque: 1_000_000, depth: 0 };
     let r = p.routine()?;
     if p.pos != p.toks.len() {
         return Err(p.error("trailing input after routine"));

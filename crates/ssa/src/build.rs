@@ -2,8 +2,8 @@
 //!
 //! The classic Cytron et al. recipe: place φ-functions at iterated
 //! dominance frontiers of each variable's definition sites, then rename
-//! along a preorder walk of the dominator tree with one definition stack
-//! per variable.
+//! along a preorder walk of the dominator tree, keeping each variable's
+//! current definition and an undo log to restore them on the way back up.
 //!
 //! Three placement styles are supported ([`SsaStyle`]): *minimal*,
 //! *semi-pruned* (φs only for Briggs "non-local" variables) and *pruned*
@@ -13,13 +13,12 @@
 //!
 //! Every variable implicitly reads as 0 before its first assignment; the
 //! builder materializes this as a `const 0` definition at the entry so
-//! renaming never sees an undefined stack.
+//! renaming never sees an undefined variable.
 
 use crate::liveness::Liveness;
 use crate::varfunc::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
 use pgvn_analysis::GenericDomTree;
 use pgvn_ir::{Block, Edge, Function, InstKind, Value};
-use std::collections::HashMap;
 
 /// φ-placement style.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -80,16 +79,13 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
 
     // Dominators of the variable CFG.
     let succs = |u: usize, out: &mut Vec<usize>| out.extend(vf.succs(u));
-    let preds_vec: Vec<Vec<usize>> = {
-        let mut p = vec![Vec::new(); nb];
-        for b in 0..nb {
-            for s in vf.succs(b) {
-                p[s].push(b);
-            }
+    let mut preds_vec: Vec<Vec<usize>> = vec![Vec::new(); nb];
+    for b in 0..nb {
+        for s in vf.succs(b) {
+            preds_vec[s].push(b);
         }
-        p
-    };
-    let preds = |u: usize, out: &mut Vec<usize>| out.extend(preds_vec[u].iter().copied());
+    }
+    let preds = |u: usize, out: &mut Vec<usize>| out.extend_from_slice(&preds_vec[u]);
     let dt = GenericDomTree::compute(nb, 0, &succs, &preds);
     let df = dt.frontiers(&preds);
 
@@ -98,45 +94,51 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
         _ => Some(Liveness::compute(vf)),
     };
 
-    // Definition sites; every variable is implicitly defined at the entry.
+    // Definition sites in ascending block order; every variable is
+    // implicitly defined at the entry.
     let mut def_sites: Vec<Vec<usize>> = vec![vec![0]; nv];
-    for b in 0..nb {
-        if !dt.is_reachable(b) {
-            continue;
-        }
+    for b in (0..nb).filter(|&b| dt.is_reachable(b)) {
         for stmt in &vf.block(b).stmts {
             if let VarStmt::Assign(v, _) = stmt {
-                if !def_sites[v.0 as usize].contains(&b) {
-                    def_sites[v.0 as usize].push(b);
+                let sites = &mut def_sites[v.0 as usize];
+                if sites.last() != Some(&b) {
+                    sites.push(b);
                 }
             }
         }
     }
 
-    // Iterated dominance frontier φ placement.
+    // Iterated dominance frontier φ placement. `placed` and `is_site`
+    // hold the stamp of the variable that last marked each block, so one
+    // pair of arrays and one worklist serve every variable.
     let mut needs_phi: Vec<Vec<Var>> = vec![Vec::new(); nb]; // per block, vars in placement order
-    for (var_idx, sites) in def_sites.iter().enumerate().take(nv) {
+    let mut placed = vec![u32::MAX; nb];
+    let mut is_site = vec![u32::MAX; nb];
+    let mut work: Vec<usize> = Vec::new();
+    for (var_idx, sites) in def_sites.iter().enumerate() {
         let var = Var(var_idx as u32);
-        match (style, &liveness) {
-            (SsaStyle::SemiPruned, Some(l)) if !l.is_non_local(var) => continue,
-            _ => {}
+        if let (SsaStyle::SemiPruned, Some(l)) = (style, &liveness) {
+            if !l.is_non_local(var) {
+                continue;
+            }
         }
-        let mut work: Vec<usize> = sites.clone();
-        let mut placed = vec![false; nb];
+        for &b in sites {
+            is_site[b] = var.0;
+        }
+        work.extend_from_slice(sites);
         while let Some(b) = work.pop() {
             for &d in &df[b] {
-                if placed[d] {
+                if placed[d] == var.0 {
                     continue;
                 }
+                placed[d] = var.0;
                 if let (SsaStyle::Pruned, Some(l)) = (style, &liveness) {
                     if !l.live_in(d, var) {
-                        placed[d] = true; // don't revisit, but no φ
-                        continue;
+                        continue; // don't revisit, but no φ
                     }
                 }
-                placed[d] = true;
                 needs_phi[d].push(var);
-                if !sites.contains(&d) {
+                if is_site[d] != var.0 {
                     work.push(d);
                 }
             }
@@ -154,181 +156,155 @@ pub fn build_ssa(vf: &VarFunction, style: SsaStyle) -> Result<Function, BuildErr
     }
 
     // Pre-create φ instructions so predecessors can record arguments
-    // before the destination is renamed.
-    let mut phi_value: HashMap<(usize, Var), Value> = HashMap::new();
+    // before the destination is renamed. `phi_value[b][i]` is the φ for
+    // `needs_phi[b][i]`.
+    let mut phi_value: Vec<Vec<Value>> = vec![Vec::new(); nb];
     for b in 0..nb {
         if let Some(fb) = block_of[b] {
-            for &var in &needs_phi[b] {
-                let pv = func.append_phi(fb);
-                phi_value.insert((b, var), pv);
-            }
+            phi_value[b] = needs_phi[b].iter().map(|_| func.append_phi(fb)).collect();
         }
     }
 
     // The implicit initial value of every variable.
     let zero = func.iconst(func.entry(), 0);
 
-    // Rename along a dominator-tree preorder walk.
-    let mut stacks: Vec<Vec<Value>> = vec![vec![zero]; nv];
+    // Rename along a dominator-tree preorder walk. `cur[v]` is the
+    // reaching definition of `v`.
+    let mut cur: Vec<Value> = vec![zero; nv];
     for (i, &p) in vf.param_vars().iter().enumerate() {
-        stacks[p.0 as usize].push(func.param(i as u32));
+        cur[p.0 as usize] = func.param(i as u32);
     }
-    // Recorded φ arguments: (dest var block, var) -> edge -> value.
-    let mut phi_args: HashMap<(usize, Var), Vec<(Edge, Value)>> = HashMap::new();
+    // Recorded φ arguments: each edge into `b` appends itself to
+    // `phi_edges[b]` and one value per φ of `b` to `phi_args[b]`.
+    let mut phi_edges: Vec<Vec<Edge>> = vec![Vec::new(); nb];
+    let mut phi_args: Vec<Vec<Value>> = vec![Vec::new(); nb];
+    let mut record = |edge: Edge, dest: usize, cur: &[Value]| {
+        if needs_phi[dest].is_empty() {
+            return;
+        }
+        phi_edges[dest].push(edge);
+        phi_args[dest].extend(needs_phi[dest].iter().map(|var| cur[var.0 as usize]));
+    };
 
-    // Explicit-stack preorder DFS with per-block pop counts.
+    // Explicit-stack preorder DFS. Every definition logs the one it
+    // shadows in `undo`; leaving a block rolls the log back to the length
+    // it entered with.
     enum Action {
         Enter(usize),
-        Exit(Vec<(usize, usize)>), // (var, how many defs to pop)
+        Exit(usize),
     }
+    let mut undo: Vec<(Var, Value)> = Vec::new();
     let mut agenda = vec![Action::Enter(0)];
     while let Some(action) = agenda.pop() {
-        match action {
-            Action::Exit(pops) => {
-                for (var, count) in pops {
-                    for _ in 0..count {
-                        stacks[var].pop();
-                    }
+        let b = match action {
+            Action::Exit(mark) => {
+                for (var, old) in undo.drain(mark..).rev() {
+                    cur[var.0 as usize] = old;
                 }
+                continue;
             }
-            Action::Enter(b) => {
-                let fb = block_of[b].expect("renaming visits only reachable blocks");
-                let mut pushes: Vec<(usize, usize)> = Vec::new();
-                let push_def = |var: Var,
-                                val: Value,
-                                stacks: &mut Vec<Vec<Value>>,
-                                pushes: &mut Vec<(usize, usize)>| {
-                    stacks[var.0 as usize].push(val);
-                    if let Some(entry) = pushes.iter_mut().find(|(v, _)| *v == var.0 as usize) {
-                        entry.1 += 1;
-                    } else {
-                        pushes.push((var.0 as usize, 1));
-                    }
-                };
+            Action::Enter(b) => b,
+        };
+        let fb = block_of[b].expect("renaming visits only reachable blocks");
+        agenda.push(Action::Exit(undo.len()));
+        let mut define = |var: Var, val: Value, cur: &mut [Value]| {
+            undo.push((var, std::mem::replace(&mut cur[var.0 as usize], val)));
+        };
 
-                // φ results become the current definitions.
-                for &var in &needs_phi[b] {
-                    let pv = phi_value[&(b, var)];
-                    push_def(var, pv, &mut stacks, &mut pushes);
+        // φ results become the current definitions.
+        for (&var, &pv) in needs_phi[b].iter().zip(&phi_value[b]) {
+            define(var, pv, &mut cur);
+        }
+
+        // Statements.
+        for stmt in &vf.block(b).stmts {
+            match stmt {
+                VarStmt::Assign(var, e) => {
+                    let val = flatten(&mut func, fb, e, &cur);
+                    define(*var, val, &mut cur);
                 }
-
-                // Statements.
-                for stmt in &vf.block(b).stmts {
-                    match stmt {
-                        VarStmt::Assign(var, e) => {
-                            let val = flatten(&mut func, fb, e, &stacks);
-                            push_def(*var, val, &mut stacks, &mut pushes);
-                        }
-                        VarStmt::Eval(e) => {
-                            let _ = flatten(&mut func, fb, e, &stacks);
-                        }
-                    }
-                }
-
-                // Terminator: create edges and record φ arguments.
-                let record =
-                    |edge: Edge,
-                     dest: usize,
-                     stacks: &Vec<Vec<Value>>,
-                     phi_args: &mut HashMap<(usize, Var), Vec<(Edge, Value)>>| {
-                        for &var in &needs_phi[dest] {
-                            let cur = *stacks[var.0 as usize]
-                                .last()
-                                .expect("stack has the zero sentinel");
-                            phi_args.entry((dest, var)).or_default().push((edge, cur));
-                        }
-                    };
-                match vf.block(b).term.as_ref().expect("validated") {
-                    VarTerm::Jump(t) => {
-                        let edge = func.set_jump(fb, block_of[*t].expect("target reachable"));
-                        record(edge, *t, &stacks, &mut phi_args);
-                    }
-                    VarTerm::Branch(c, t, e) => {
-                        let cv = flatten(&mut func, fb, c, &stacks);
-                        let (te, ee) = func.set_branch(
-                            fb,
-                            cv,
-                            block_of[*t].expect("target reachable"),
-                            block_of[*e].expect("target reachable"),
-                        );
-                        record(te, *t, &stacks, &mut phi_args);
-                        record(ee, *e, &stacks, &mut phi_args);
-                    }
-                    VarTerm::Switch(e, cases, d) => {
-                        let sv = flatten(&mut func, fb, e, &stacks);
-                        let case_vals: Vec<i64> = cases.iter().map(|&(c, _)| c).collect();
-                        let targets: Vec<Block> = cases
-                            .iter()
-                            .map(|&(_, t)| block_of[t].expect("target reachable"))
-                            .collect();
-                        let edges = func.set_switch(
-                            fb,
-                            sv,
-                            &case_vals,
-                            &targets,
-                            block_of[*d].expect("target reachable"),
-                        );
-                        for (i, &(_, t)) in cases.iter().enumerate() {
-                            record(edges[i], t, &stacks, &mut phi_args);
-                        }
-                        record(edges[cases.len()], *d, &stacks, &mut phi_args);
-                    }
-                    VarTerm::Return(e) => {
-                        let rv = flatten(&mut func, fb, e, &stacks);
-                        func.set_return(fb, rv);
-                    }
-                }
-
-                agenda.push(Action::Exit(pushes));
-                // Visit dominator-tree children (reverse so RPO-first pops
-                // first — order does not affect correctness).
-                for c in dt.children(b).into_iter().rev() {
-                    agenda.push(Action::Enter(c));
+                VarStmt::Eval(e) => {
+                    let _ = flatten(&mut func, fb, e, &cur);
                 }
             }
         }
+
+        // Terminator: create edges and record φ arguments.
+        let target = |t: usize| block_of[t].expect("target reachable");
+        match vf.block(b).term.as_ref().expect("validated") {
+            VarTerm::Jump(t) => {
+                let edge = func.set_jump(fb, target(*t));
+                record(edge, *t, &cur);
+            }
+            VarTerm::Branch(c, t, e) => {
+                let cv = flatten(&mut func, fb, c, &cur);
+                let (te, ee) = func.set_branch(fb, cv, target(*t), target(*e));
+                record(te, *t, &cur);
+                record(ee, *e, &cur);
+            }
+            VarTerm::Switch(e, cases, d) => {
+                let sv = flatten(&mut func, fb, e, &cur);
+                let case_vals: Vec<i64> = cases.iter().map(|&(c, _)| c).collect();
+                let targets: Vec<Block> = cases.iter().map(|&(_, t)| target(t)).collect();
+                let edges = func.set_switch(fb, sv, &case_vals, &targets, target(*d));
+                for (&edge, t) in edges.iter().zip(cases.iter().map(|&(_, t)| t).chain([*d])) {
+                    record(edge, t, &cur);
+                }
+            }
+            VarTerm::Return(e) => {
+                let rv = flatten(&mut func, fb, e, &cur);
+                func.set_return(fb, rv);
+            }
+        }
+
+        // Visit dominator-tree children (reverse so RPO-first pops
+        // first — order does not affect correctness).
+        agenda.extend(dt.children(b).iter().rev().map(|&c| Action::Enter(c)));
     }
 
     // Fill in φ arguments in predecessor-edge order.
-    for ((b, var), pv) in phi_value {
+    let mut rows: Vec<usize> = Vec::new();
+    for b in 0..nb {
+        let k = phi_value[b].len();
+        if k == 0 {
+            continue;
+        }
         let fb = block_of[b].expect("φ blocks are reachable");
-        let recorded = phi_args.remove(&(b, var)).unwrap_or_default();
-        let args: Vec<Value> = func
-            .preds(fb)
-            .iter()
-            .map(|&e| {
-                recorded
-                    .iter()
-                    .find(|(re, _)| *re == e)
-                    .map(|&(_, v)| v)
-                    .expect("every predecessor recorded a φ argument")
-            })
-            .collect();
-        func.set_phi_args(pv, args);
+        rows.clear();
+        rows.extend(func.preds(fb).iter().map(|e| {
+            phi_edges[b]
+                .iter()
+                .position(|re| re == e)
+                .expect("every predecessor recorded a φ argument")
+        }));
+        for (i, &pv) in phi_value[b].iter().enumerate() {
+            let args = rows.iter().map(|&r| phi_args[b][r * k + i]).collect();
+            func.set_phi_args(pv, args);
+        }
     }
 
     Ok(func)
 }
 
 /// Flattens an expression tree into instructions at the end of `fb`,
-/// resolving variable reads through the renaming stacks.
-fn flatten(func: &mut Function, fb: Block, e: &VarExpr, stacks: &[Vec<Value>]) -> Value {
+/// resolving variable reads to their reaching definitions `cur`.
+fn flatten(func: &mut Function, fb: Block, e: &VarExpr, cur: &[Value]) -> Value {
     match e {
         VarExpr::Const(c) => func.iconst(fb, *c),
-        VarExpr::Var(v) => *stacks[v.0 as usize].last().expect("stack has the zero sentinel"),
+        VarExpr::Var(v) => cur[v.0 as usize],
         VarExpr::Opaque(t) => func.append(fb, InstKind::Opaque(*t)),
         VarExpr::Unary(op, a) => {
-            let av = flatten(func, fb, a, stacks);
+            let av = flatten(func, fb, a, cur);
             func.unary(fb, *op, av)
         }
         VarExpr::Binary(op, a, b) => {
-            let av = flatten(func, fb, a, stacks);
-            let bv = flatten(func, fb, b, stacks);
+            let av = flatten(func, fb, a, cur);
+            let bv = flatten(func, fb, b, cur);
             func.binary(fb, *op, av, bv)
         }
         VarExpr::Cmp(op, a, b) => {
-            let av = flatten(func, fb, a, stacks);
-            let bv = flatten(func, fb, b, stacks);
+            let av = flatten(func, fb, a, cur);
+            let bv = flatten(func, fb, b, cur);
             func.cmp(fb, *op, av, bv)
         }
     }

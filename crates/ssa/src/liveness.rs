@@ -5,100 +5,134 @@
 //! numbering", which makes the SSA style an ablation axis of the
 //! reproduction — so all three classic styles are available.
 
-use crate::varfunc::{Var, VarFunction, VarStmt, VarTerm};
+use crate::varfunc::{Var, VarExpr, VarFunction, VarStmt, VarTerm};
 
 /// Block-level liveness sets for every variable.
+///
+/// Each set is a bitset row of `⌈nvars/64⌉` words, so the fixed point
+/// moves 64 variables per operation.
 #[derive(Clone, Debug)]
 pub struct Liveness {
-    /// `live_in[b]` contains the variables live on entry to block `b`.
-    live_in: Vec<Vec<bool>>,
+    /// Words per row.
+    words: usize,
+    /// Row `b` (`words` words from `b * words`) holds the variables live
+    /// on entry to block `b`.
+    live_in: Vec<u64>,
     /// Variables that are used in some block before any local definition
     /// (Briggs' "non-local" / global variables, used by semi-pruned SSA).
-    non_local: Vec<bool>,
+    /// Unreachable blocks count too.
+    non_local: Vec<u64>,
 }
 
-fn block_use_def(func: &VarFunction, b: usize, nvars: usize) -> (Vec<bool>, Vec<bool>) {
-    let mut used_before_def = vec![false; nvars];
-    let mut defined = vec![false; nvars];
-    let record_use = |v: Var, defined: &[bool], used: &mut [bool]| {
-        if !defined[v.0 as usize] {
-            used[v.0 as usize] = true;
-        }
+fn bit(row: &[u64], v: Var) -> bool {
+    row[v.0 as usize / 64] >> (v.0 % 64) & 1 != 0
+}
+
+fn set_bit(row: &mut [u64], v: Var) {
+    row[v.0 as usize / 64] |= 1 << (v.0 % 64);
+}
+
+/// Fills block `b`'s upward-exposed uses and definitions.
+fn block_use_def(func: &VarFunction, b: usize, used: &mut [u64], defined: &mut [u64]) {
+    let mut read = |e: &VarExpr, defined: &[u64]| {
+        e.visit_vars(&mut |v| {
+            if !bit(defined, v) {
+                set_bit(used, v);
+            }
+        })
     };
     for stmt in &func.block(b).stmts {
         match stmt {
             VarStmt::Assign(dst, e) => {
-                e.visit_vars(&mut |v| record_use(v, &defined, &mut used_before_def));
-                defined[dst.0 as usize] = true;
+                read(e, defined);
+                set_bit(defined, *dst);
             }
-            VarStmt::Eval(e) => {
-                e.visit_vars(&mut |v| record_use(v, &defined, &mut used_before_def))
-            }
+            VarStmt::Eval(e) => read(e, defined),
         }
     }
     match func.block(b).term.as_ref() {
         Some(VarTerm::Branch(e, _, _))
         | Some(VarTerm::Return(e))
-        | Some(VarTerm::Switch(e, _, _)) => {
-            e.visit_vars(&mut |v| record_use(v, &defined, &mut used_before_def));
-        }
+        | Some(VarTerm::Switch(e, _, _)) => read(e, defined),
         _ => {}
     }
-    (used_before_def, defined)
 }
 
 impl Liveness {
-    /// Computes liveness by the standard backward fixed point.
+    /// Computes liveness by the standard backward fixed point, sweeping
+    /// blocks in postorder so most settle in the first sweep.
     pub fn compute(func: &VarFunction) -> Self {
         let nb = func.num_blocks();
-        let nv = func.num_vars();
-        let mut use_set = Vec::with_capacity(nb);
-        let mut def_set = Vec::with_capacity(nb);
+        let words = func.num_vars().div_ceil(64);
+        let mut gen = vec![0u64; nb * words];
+        let mut kill = vec![0u64; nb * words];
+        let mut non_local = vec![0u64; words];
         for b in 0..nb {
-            let (u, d) = block_use_def(func, b, nv);
-            use_set.push(u);
-            def_set.push(d);
+            let row = b * words..(b + 1) * words;
+            block_use_def(func, b, &mut gen[row.clone()], &mut kill[row.clone()]);
+            for (n, g) in non_local.iter_mut().zip(&gen[row]) {
+                *n |= g;
+            }
         }
-        let mut non_local = vec![false; nv];
-        for u in &use_set {
-            for (v, &used) in u.iter().enumerate() {
-                if used {
-                    non_local[v] = true;
+
+        // Postorder from the entry, then from every block not yet seen,
+        // so unreachable blocks get live sets too.
+        let mut order = Vec::with_capacity(nb);
+        let mut seen = vec![false; nb];
+        for root in 0..nb {
+            if seen[root] {
+                continue;
+            }
+            seen[root] = true;
+            let mut stack = vec![(root, func.succs(root))];
+            while let Some((b, succs)) = stack.last_mut() {
+                match succs.find(|&s| !seen[s]) {
+                    Some(s) => {
+                        seen[s] = true;
+                        stack.push((s, func.succs(s)));
+                    }
+                    None => {
+                        order.push(*b);
+                        stack.pop();
+                    }
                 }
             }
         }
-        let mut live_in: Vec<Vec<bool>> = vec![vec![false; nv]; nb];
+
+        let mut live_in = vec![0u64; nb * words];
+        let mut out = vec![0u64; words];
         let mut changed = true;
         while changed {
             changed = false;
-            for b in (0..nb).rev() {
-                let mut out = vec![false; nv];
+            for &b in &order {
+                out.fill(0);
                 for s in func.succs(b) {
-                    for v in 0..nv {
-                        out[v] = out[v] || live_in[s][v];
+                    for (o, l) in out.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
+                        *o |= l;
                     }
                 }
-                for v in 0..nv {
-                    let new = use_set[b][v] || (out[v] && !def_set[b][v]);
-                    if new != live_in[b][v] {
-                        live_in[b][v] = new;
+                let at = b * words;
+                for w in 0..words {
+                    let new = gen[at + w] | (out[w] & !kill[at + w]);
+                    if new != live_in[at + w] {
+                        live_in[at + w] = new;
                         changed = true;
                     }
                 }
             }
         }
-        Liveness { live_in, non_local }
+        Liveness { words, live_in, non_local }
     }
 
     /// Returns `true` if `v` is live on entry to block `b`.
     pub fn live_in(&self, b: usize, v: Var) -> bool {
-        self.live_in[b][v.0 as usize]
+        bit(&self.live_in[b * self.words..], v)
     }
 
     /// Returns `true` if `v` is used in some block before any local
     /// definition (the semi-pruned "global variable" criterion).
     pub fn is_non_local(&self, v: Var) -> bool {
-        self.non_local[v.0 as usize]
+        bit(&self.non_local, v)
     }
 }
 

@@ -199,18 +199,15 @@ impl VarFunction {
         self.blocks[b].term = Some(term);
     }
 
-    /// Successor block indices of `b` (empty for returns).
-    pub fn succs(&self, b: usize) -> Vec<usize> {
-        match &self.blocks[b].term {
-            Some(VarTerm::Jump(t)) => vec![*t],
-            Some(VarTerm::Branch(_, t, e)) => vec![*t, *e],
-            Some(VarTerm::Switch(_, cases, d)) => {
-                let mut out: Vec<usize> = cases.iter().map(|&(_, t)| t).collect();
-                out.push(*d);
-                out
-            }
-            Some(VarTerm::Return(_)) | None => vec![],
-        }
+    /// Successor block indices of `b` (none for returns), in edge order.
+    pub fn succs(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
+        let (cases, rest): (&[(i64, usize)], [Option<usize>; 2]) = match &self.blocks[b].term {
+            Some(VarTerm::Jump(t)) => (&[], [Some(*t), None]),
+            Some(VarTerm::Branch(_, t, e)) => (&[], [Some(*t), Some(*e)]),
+            Some(VarTerm::Switch(_, cases, d)) => (cases, [Some(*d), None]),
+            Some(VarTerm::Return(_)) | None => (&[], [None, None]),
+        };
+        cases.iter().map(|&(_, t)| t).chain(rest.into_iter().flatten())
     }
 
     /// Checks that every block reachable from the entry is terminated.
@@ -292,8 +289,8 @@ mod tests {
         f.terminate(t, VarTerm::Return(v(a)));
         f.terminate(e, VarTerm::Return(v(b)));
         assert_eq!(f.validate(), Ok(()));
-        assert_eq!(f.succs(0), vec![t, e]);
-        assert_eq!(f.succs(t), Vec::<usize>::new());
+        assert_eq!(f.succs(0).collect::<Vec<_>>(), vec![t, e]);
+        assert_eq!(f.succs(t).count(), 0);
         assert_eq!(f.var_name(a), "a");
         assert_eq!(f.num_blocks(), 3);
     }
