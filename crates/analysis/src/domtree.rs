@@ -15,35 +15,76 @@ use crate::order::Rpo;
 use pgvn_ir::{Block, EntityRef, Function, InstKind};
 
 /// The immediate-dominator tree of the blocks reachable from the entry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DomTree {
     idom: Vec<Option<Block>>,
     /// DFS interval numbering of the dominator tree for O(1) dominance
     /// queries.
+    iv: Intervals,
+    reachable: Vec<bool>,
+    scratch: TreeScratch,
+}
+
+/// DFS pre/post intervals and depths over a tree, indexed by block.
+#[derive(Clone, Debug, Default)]
+struct Intervals {
     pre: Vec<u32>,
     post: Vec<u32>,
     depth: Vec<u32>,
-    reachable: Vec<bool>,
+}
+
+impl Intervals {
+    /// `true` if `a`'s interval encloses `b`'s (reflexive).
+    fn encloses(&self, a: Block, b: Block) -> bool {
+        self.pre[a.index()] <= self.pre[b.index()] && self.post[b.index()] <= self.post[a.index()]
+    }
+}
+
+/// Working buffers of the tree solvers, kept beside each tree so that
+/// recomputing it allocates nothing once warm.
+#[derive(Clone, Debug, Default)]
+struct TreeScratch {
+    /// CHK result: idom by RPO position.
+    idom_pos: Vec<usize>,
+    preds: Vec<usize>,
+    /// Tree children as compressed rows: the children of `b` are
+    /// `children[child_start[b]..child_start[b + 1]]`.
+    child_start: Vec<u32>,
+    children: Vec<Block>,
+    roots: Vec<Block>,
+    /// Interval DFS: `(block, next child offset, depth)`.
+    stack: Vec<(Block, u32, u32)>,
+    /// Reverse-CFG DFS of the postdominator tree: `(block, next pred)`.
+    dfs: Vec<(Block, usize)>,
+    /// Reverse-graph order and position of each block in it.
+    order: Vec<Block>,
+    pos_of: Vec<usize>,
 }
 
 /// Generic CHK solver over an abstract graph given in RPO.
 ///
 /// `order` lists nodes in reverse postorder (roots first); `preds(i)` yields
-/// predecessor *positions in `order`* of the node at position `i`.
-fn chk_solve(n: usize, preds: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
+/// predecessor *positions in `order`* of the node at position `i`. Writes
+/// the idom position of every node into `idom` (`usize::MAX` where none).
+fn chk_solve_into(
+    n: usize,
+    preds: &dyn Fn(usize, &mut Vec<usize>),
+    idom: &mut Vec<usize>,
+    buf: &mut Vec<usize>,
+) {
     const UNDEF: usize = usize::MAX;
-    let mut idom = vec![UNDEF; n];
+    idom.clear();
+    idom.resize(n, UNDEF);
     if n == 0 {
-        return idom;
+        return;
     }
     idom[0] = 0;
-    let mut buf = Vec::new();
     let mut changed = true;
     while changed {
         changed = false;
         for i in 1..n {
             buf.clear();
-            preds(i, &mut buf);
+            preds(i, buf);
             let mut new_idom = UNDEF;
             for &p in buf.iter() {
                 if idom[p] == UNDEF {
@@ -72,40 +113,65 @@ fn chk_solve(n: usize, preds: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
             }
         }
     }
-    idom
 }
 
 /// Assigns DFS pre/post intervals and depths over an idom forest.
-fn tree_intervals(
+/// Children are visited in `nodes` order, and so are the roots.
+fn tree_intervals_into(
     n_cap: usize,
     nodes: &[Block],
     idom: &[Option<Block>],
-) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let mut children: Vec<Vec<Block>> = vec![Vec::new(); n_cap];
-    let mut roots = Vec::new();
+    iv: &mut Intervals,
+    s: &mut TreeScratch,
+) {
+    let TreeScratch { child_start, children, roots, stack, .. } = s;
+    let parent = |b: Block| idom[b.index()].filter(|&p| p != b);
+    // Count children into the slot after their parent, turn the counts
+    // into row starts, fill using each row start as a cursor, and shift
+    // the cursors (now row ends) back into starts.
+    child_start.clear();
+    child_start.resize(n_cap + 1, 0);
+    roots.clear();
     for &b in nodes {
-        match idom[b.index()] {
-            Some(p) if p != b => children[p.index()].push(b),
-            _ => roots.push(b),
+        match parent(b) {
+            Some(p) => child_start[p.index() + 1] += 1,
+            None => roots.push(b),
         }
     }
-    let mut pre = vec![0u32; n_cap];
-    let mut post = vec![0u32; n_cap];
-    let mut depth = vec![0u32; n_cap];
+    for i in 0..n_cap {
+        child_start[i + 1] += child_start[i];
+    }
+    children.clear();
+    children.resize(child_start[n_cap] as usize, Block::new(0));
+    for &b in nodes {
+        if let Some(p) = parent(b) {
+            let at = &mut child_start[p.index()];
+            children[*at as usize] = b;
+            *at += 1;
+        }
+    }
+    child_start.copy_within(0..n_cap, 1);
+    child_start[0] = 0;
+    let Intervals { pre, post, depth } = iv;
+    for v in [&mut *pre, &mut *post, &mut *depth] {
+        v.clear();
+        v.resize(n_cap, 0);
+    }
     let mut clock = 0u32;
-    for root in roots {
-        let mut stack = vec![(root, 0usize, 0u32)];
+    for &root in roots.iter() {
+        stack.clear();
+        stack.push((root, child_start[root.index()], 0));
         clock += 1;
         pre[root.index()] = clock;
         depth[root.index()] = 0;
         while let Some(&mut (b, ref mut next, d)) = stack.last_mut() {
-            if *next < children[b.index()].len() {
-                let c = children[b.index()][*next];
+            if *next < child_start[b.index() + 1] {
+                let c = children[*next as usize];
                 *next += 1;
                 clock += 1;
                 pre[c.index()] = clock;
                 depth[c.index()] = d + 1;
-                stack.push((c, 0, d + 1));
+                stack.push((c, child_start[c.index()], d + 1));
             } else {
                 clock += 1;
                 post[b.index()] = clock;
@@ -113,11 +179,12 @@ fn tree_intervals(
             }
         }
     }
-    (pre, post, depth)
 }
 
 pub(crate) fn chk_solve_public(n: usize, preds: &dyn Fn(usize, &mut Vec<usize>)) -> Vec<usize> {
-    chk_solve(n, preds)
+    let mut idom = Vec::new();
+    chk_solve_into(n, preds, &mut idom, &mut Vec::new());
+    idom
 }
 
 pub(crate) fn tree_intervals_public(
@@ -125,14 +192,22 @@ pub(crate) fn tree_intervals_public(
     nodes: &[Block],
     idom: &[Option<Block>],
 ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    tree_intervals(n_cap, nodes, idom)
+    let mut iv = Intervals::default();
+    tree_intervals_into(n_cap, nodes, idom, &mut iv, &mut TreeScratch::default());
+    (iv.pre, iv.post, iv.depth)
 }
 
 impl DomTree {
     /// Computes the dominator tree of `func` using the precomputed `rpo`.
     pub fn compute(func: &Function, rpo: &Rpo) -> Self {
+        let mut tree = DomTree::default();
+        tree.recompute(func, rpo);
+        tree
+    }
+
+    /// [`DomTree::compute`] in place, reusing this tree's allocations.
+    pub fn recompute(&mut self, func: &Function, rpo: &Rpo) {
         let order = rpo.order();
-        let n = order.len();
         let preds = |i: usize, out: &mut Vec<usize>| {
             for &e in func.preds(order[i]) {
                 let p = func.edge_from(e);
@@ -141,18 +216,20 @@ impl DomTree {
                 }
             }
         };
-        let idom_pos = chk_solve(n, &preds);
+        let s = &mut self.scratch;
+        chk_solve_into(order.len(), &preds, &mut s.idom_pos, &mut s.preds);
         let cap = func.block_capacity();
-        let mut idom: Vec<Option<Block>> = vec![None; cap];
-        let mut reachable = vec![false; cap];
+        self.idom.clear();
+        self.idom.resize(cap, None);
+        self.reachable.clear();
+        self.reachable.resize(cap, false);
         for (i, &b) in order.iter().enumerate() {
-            reachable[b.index()] = true;
-            if idom_pos[i] != usize::MAX {
-                idom[b.index()] = Some(order[idom_pos[i]]);
+            self.reachable[b.index()] = true;
+            if s.idom_pos[i] != usize::MAX {
+                self.idom[b.index()] = Some(order[s.idom_pos[i]]);
             }
         }
-        let (pre, post, depth) = tree_intervals(cap, order, &idom);
-        DomTree { idom, pre, post, depth, reachable }
+        tree_intervals_into(cap, order, &self.idom, &mut self.iv, s);
     }
 
     /// The immediate dominator of `b`. The entry block's idom is itself;
@@ -167,7 +244,7 @@ impl DomTree {
         if !self.reachable[a.index()] || !self.reachable[b.index()] {
             return false;
         }
-        self.pre[a.index()] <= self.pre[b.index()] && self.post[b.index()] <= self.post[a.index()]
+        self.iv.encloses(a, b)
     }
 
     /// Returns `true` if `a` strictly dominates `b`.
@@ -177,7 +254,7 @@ impl DomTree {
 
     /// Depth of `b` in the dominator tree (entry = 0).
     pub fn depth(&self, b: Block) -> u32 {
-        self.depth[b.index()]
+        self.iv.depth[b.index()]
     }
 
     /// Returns `true` if `b` was reachable when the tree was computed.
@@ -187,13 +264,13 @@ impl DomTree {
 }
 
 /// The postdominator tree, rooted at a virtual exit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PostDomTree {
     ipdom: Vec<Option<Block>>,
-    pre: Vec<u32>,
-    post: Vec<u32>,
+    iv: Intervals,
     /// Blocks with a path to some `return`.
     exits_reach: Vec<bool>,
+    scratch: TreeScratch,
 }
 
 impl PostDomTree {
@@ -203,59 +280,59 @@ impl PostDomTree {
     /// participate; for all other blocks [`PostDomTree::postdominates`]
     /// answers `false`.
     pub fn compute(func: &Function, rpo: &Rpo) -> Self {
+        let mut tree = PostDomTree::default();
+        tree.recompute(func, rpo);
+        tree
+    }
+
+    /// [`PostDomTree::compute`] in place, reusing this tree's allocations.
+    pub fn recompute(&mut self, func: &Function, rpo: &Rpo) {
         let cap = func.block_capacity();
+        let is_exit = |b: Block| {
+            matches!(func.terminator(b).map(|t| func.kind(t)), Some(InstKind::Return(_)))
+        };
+        let s = &mut self.scratch;
         // Reverse postorder of the *reverse* CFG from the virtual exit,
-        // i.e. postorder of reachable return blocks backwards.
-        let mut order: Vec<Block> = Vec::new(); // reverse graph RPO (exit-first)
-        let mut state = vec![0u8; cap];
-        let mut stack: Vec<(Block, usize)> = Vec::new();
-        let exit_blocks: Vec<Block> = rpo
-            .order()
-            .iter()
-            .copied()
-            .filter(|&b| {
-                matches!(func.terminator(b).map(|t| func.kind(t)), Some(InstKind::Return(_)))
-            })
-            .collect();
-        let mut postorder = Vec::new();
-        for &x in &exit_blocks {
-            if state[x.index()] != 0 {
+        // i.e. postorder of reachable return blocks backwards, into
+        // `s.order`. `exits_reach` doubles as the DFS visited set: it ends
+        // up holding exactly the blocks with a path to some `return`.
+        let exits_reach = &mut self.exits_reach;
+        exits_reach.clear();
+        exits_reach.resize(cap, false);
+        s.order.clear();
+        for &x in rpo.order() {
+            if !is_exit(x) || exits_reach[x.index()] {
                 continue;
             }
-            state[x.index()] = 1;
-            stack.push((x, 0));
-            while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            exits_reach[x.index()] = true;
+            s.dfs.push((x, 0));
+            while let Some(&mut (b, ref mut next)) = s.dfs.last_mut() {
                 let preds = func.preds(b);
                 if *next < preds.len() {
                     let p = func.edge_from(preds[*next]);
                     *next += 1;
-                    if state[p.index()] == 0 && rpo.is_reachable(p) {
-                        state[p.index()] = 1;
-                        stack.push((p, 0));
+                    if !exits_reach[p.index()] && rpo.is_reachable(p) {
+                        exits_reach[p.index()] = true;
+                        s.dfs.push((p, 0));
                     }
                 } else {
-                    state[b.index()] = 2;
-                    postorder.push(b);
-                    stack.pop();
+                    s.order.push(b);
+                    s.dfs.pop();
                 }
             }
         }
-        postorder.reverse();
-        order.extend(postorder);
-
-        let pos_of = {
-            let mut m = vec![usize::MAX; cap];
-            for (i, &b) in order.iter().enumerate() {
-                m[b.index()] = i;
-            }
-            m
-        };
+        s.order.reverse();
+        s.pos_of.clear();
+        s.pos_of.resize(cap, usize::MAX);
+        for (i, &b) in s.order.iter().enumerate() {
+            s.pos_of[b.index()] = i;
+        }
         // Virtual exit: every exit block's "predecessor set" in the reverse
         // graph gains the virtual root. We emulate the virtual root by
         // seeding all exit blocks as roots (idom = position 0 handling in
         // chk_solve requires a single root), so instead add a phantom node
         // at position 0.
-        let n = order.len() + 1; // position 0 = virtual exit
+        let (order, pos_of) = (&s.order, &s.pos_of);
         let preds = |i: usize, out: &mut Vec<usize>| {
             if i == 0 {
                 return;
@@ -268,31 +345,26 @@ impl PostDomTree {
                     out.push(pos_of[s.index()] + 1);
                 }
             }
-            if matches!(func.terminator(b).map(|t| func.kind(t)), Some(InstKind::Return(_))) {
+            if is_exit(b) {
                 out.push(0);
             }
         };
-        let idom_pos = chk_solve(n, &preds);
-        let mut ipdom: Vec<Option<Block>> = vec![None; cap];
-        let mut exits_reach = vec![false; cap];
+        // Position 0 is the virtual exit.
+        chk_solve_into(order.len() + 1, &preds, &mut s.idom_pos, &mut s.preds);
+        self.ipdom.clear();
+        self.ipdom.resize(cap, None);
         for (i, &b) in order.iter().enumerate() {
-            exits_reach[b.index()] = true;
-            let p = idom_pos[i + 1];
+            let p = s.idom_pos[i + 1];
             if p != usize::MAX && p != 0 {
-                ipdom[b.index()] = Some(order[p - 1]);
+                self.ipdom[b.index()] = Some(order[p - 1]);
             }
             // p == 0 means the virtual exit is the immediate postdominator.
         }
-        let (pre, post, _) = tree_intervals(cap, &order, &{
-            // For interval purposes, parent = ipdom; blocks whose ipdom is
-            // the virtual exit become roots.
-            let mut parents: Vec<Option<Block>> = vec![None; cap];
-            for &b in &order {
-                parents[b.index()] = ipdom[b.index()];
-            }
-            parents
-        });
-        PostDomTree { ipdom, pre, post, exits_reach }
+        // For interval purposes, parent = ipdom; blocks whose ipdom is the
+        // virtual exit become roots.
+        let order = std::mem::take(&mut s.order);
+        tree_intervals_into(cap, &order, &self.ipdom, &mut self.iv, s);
+        s.order = order;
     }
 
     /// The immediate postdominator of `b`, or `None` when it is the virtual
@@ -306,7 +378,7 @@ impl PostDomTree {
         if !self.exits_reach[a.index()] || !self.exits_reach[b.index()] {
             return false;
         }
-        self.pre[a.index()] <= self.pre[b.index()] && self.post[b.index()] <= self.post[a.index()]
+        self.iv.encloses(a, b)
     }
 }
 

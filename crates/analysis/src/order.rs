@@ -5,7 +5,7 @@
 //! whose destination does not follow its origin in RPO (§2.5). Ranks
 //! (§2.2) are also assigned in RPO.
 
-use pgvn_ir::{Block, Edge, EntityRef, EntitySet, Function, Inst, SecondaryMap, Value};
+use pgvn_ir::{Block, Edge, EntitySet, Function, Inst, SecondaryMap, Value};
 
 /// Reverse postorder of the blocks reachable from the entry, with the
 /// derived orderings the paper's algorithm consumes.
@@ -15,48 +15,66 @@ pub struct Rpo {
     number: SecondaryMap<Block, u32>,
     backward: EntitySet<Edge>,
     reachable: EntitySet<Block>,
+    /// DFS scratch: `(block, next successor index)`.
+    stack: Vec<(Block, usize)>,
 }
 
 /// Blocks unreachable from the entry get this sentinel RPO number; it
 /// sorts after every real number.
 pub const UNREACHABLE_RPO: u32 = u32::MAX;
 
+impl Default for Rpo {
+    /// An empty order, to be filled by [`Rpo::recompute`].
+    fn default() -> Self {
+        Rpo {
+            order: Vec::new(),
+            number: SecondaryMap::with_default(UNREACHABLE_RPO),
+            backward: EntitySet::new(),
+            reachable: EntitySet::new(),
+            stack: Vec::new(),
+        }
+    }
+}
+
 impl Rpo {
     /// Computes the RPO of `func` over blocks statically reachable from the
     /// entry.
     pub fn compute(func: &Function) -> Self {
-        let cap = func.block_capacity();
-        let mut state = vec![0u8; cap]; // 0 = unvisited, 1 = on stack, 2 = done
-        let mut postorder: Vec<Block> = Vec::new();
-        // Iterative DFS with an explicit stack of (block, next successor index).
-        let mut stack: Vec<(Block, usize)> = vec![(func.entry(), 0)];
-        state[func.entry().index()] = 1;
+        let mut rpo = Rpo::default();
+        rpo.recompute(func);
+        rpo
+    }
+
+    /// [`Rpo::compute`] in place, reusing this order's allocations.
+    pub fn recompute(&mut self, func: &Function) {
+        let Rpo { order, number, backward, reachable, stack } = self;
+        order.clear();
+        number.clear();
+        backward.clear();
+        reachable.clear();
+        // Iterative DFS with an explicit stack of (block, next successor
+        // index); `reachable` doubles as the visited set, and `order`
+        // collects the postorder.
+        stack.clear();
+        stack.push((func.entry(), 0));
+        reachable.insert(func.entry());
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
             let succs = func.succs(b);
             if *next < succs.len() {
                 let s = func.edge_to(succs[*next]);
                 *next += 1;
-                if state[s.index()] == 0 {
-                    state[s.index()] = 1;
+                if reachable.insert(s) {
                     stack.push((s, 0));
                 }
             } else {
-                state[b.index()] = 2;
-                postorder.push(b);
+                order.push(b);
                 stack.pop();
             }
         }
-        postorder.reverse();
-        let order = postorder;
-
-        let mut number = SecondaryMap::with_capacity(UNREACHABLE_RPO, cap);
-        let mut reachable = EntitySet::with_capacity(cap);
+        order.reverse();
         for (i, &b) in order.iter().enumerate() {
             number[b] = i as u32;
-            reachable.insert(b);
         }
-
-        let mut backward = EntitySet::with_capacity(func.edge_capacity());
         for e in func.edges() {
             let from = func.edge_from(e);
             let to = func.edge_to(e);
@@ -64,7 +82,6 @@ impl Rpo {
                 backward.insert(e);
             }
         }
-        Rpo { order, number, backward, reachable }
     }
 
     /// Blocks in reverse postorder.

@@ -1,9 +1,10 @@
 //! Reusable analysis sessions.
 //!
-//! Every GVN run needs a pile of scratch state: the expression interner,
+//! Every GVN run needs a pile of scratch state: the per-routine analyses
+//! (RPO, ranks, dominator trees, def-use rows), the expression interner,
 //! the congruence-class partition, the `TOUCHED`/`REACHABLE` bitsets,
-//! edge/block predicate tables, and the §3 inference gates and memo
-//! caches. Building all of that from scratch per routine undercuts the
+//! edge/block predicate tables, the §3 inference gates and memo caches,
+//! and the φ evaluation and φ-predication buffers. Building all of that from scratch per routine undercuts the
 //! paper's sparseness argument — on batch workloads the allocator, not
 //! the algorithm, dominates. A [`GvnContext`] owns all of it across
 //! runs: [`GvnContext::clear`] (and the internal per-run `prepare`)
@@ -15,9 +16,10 @@
 //!
 //! Entity indices (blocks, values, `ExprId`s, `ClassId`s) are only
 //! meaningful within one run, so every semantic structure is wiped at
-//! run start: the interner restarts at id 0, the partition relinks all
-//! values into `INITIAL`, predicate tables are cleared to `None`, and
-//! both inference caches are invalidated. Nothing observable can leak
+//! run start: the per-routine analyses are recomputed in full, the
+//! interner restarts at id 0, the partition relinks all values into
+//! `INITIAL`, predicate tables are cleared to `None`, and both inference
+//! caches are invalidated. Nothing observable can leak
 //! from one routine into the next — `tests/session.rs` asserts that a
 //! shared context and a fresh context produce identical results over
 //! generated corpora. A context is therefore also *rollback-safe*: if a
@@ -26,9 +28,11 @@
 //! next run.
 
 use crate::classes::Classes;
+use crate::driver::PredScratch;
 use crate::expr::{ExprId, Interner};
 use crate::predicate::Pred;
-use pgvn_ir::{Block, CmpOp, Edge, EntityRef, EntitySet, Function, Inst, Value};
+use pgvn_analysis::{DomTree, PostDomTree, Rpo};
+use pgvn_ir::{Block, CmpOp, DefUse, Edge, EntityRef, EntitySet, Function, Inst, Value};
 use std::collections::HashMap;
 
 use crate::classes::ClassId;
@@ -111,6 +115,15 @@ pub struct ContextCapacities {
 /// engines give each worker thread its own private context.
 #[derive(Debug, Default)]
 pub struct GvnContext {
+    /// Reverse postorder and RPO back edges, recomputed per run.
+    pub(crate) rpo: Rpo,
+    /// §2.2 `RANK` by value index, recomputed per run.
+    pub(crate) rank_of: Vec<u32>,
+    /// Dominator and postdominator trees, recomputed per run.
+    pub(crate) domtree: DomTree,
+    pub(crate) postdom: PostDomTree,
+    /// Def-use chains, recomputed per run.
+    pub(crate) defuse: DefUse,
     /// The hash-consed expression arena, restarted (ids from 0) per run.
     pub(crate) interner: Interner,
     /// The congruence-class partition, relinked into `INITIAL` per run.
@@ -145,8 +158,11 @@ pub struct GvnContext {
     /// is genuinely sparse — most blocks never query most predicates —
     /// so this stays a hash map; the context reuses its allocation.
     pub(crate) pi_cache: HashMap<(Block, CmpOp, ExprId, ExprId), ExprId>,
-    /// φ-predication per-block OR-operand scratch (empty = unvisited).
-    pub(crate) or_ops: Vec<Vec<ExprId>>,
+    /// φ evaluation scratch: `(edge, argument)` pairs and arguments.
+    pub(crate) phi_pairs: Vec<(Edge, ExprId)>,
+    pub(crate) phi_args: Vec<ExprId>,
+    /// φ-predication scratch (per-block OR operands, CANONICAL, paths).
+    pub(crate) pred_scratch: PredScratch,
     /// Runs served by this context.
     runs: u64,
 }
@@ -185,9 +201,7 @@ impl GvnContext {
         self.nullified_blocks.clear();
         self.vi_cache.prepare(0);
         self.pi_cache.clear();
-        for o in &mut self.or_ops {
-            o.clear();
-        }
+        self.pred_scratch.prepare(0);
     }
 
     /// Sizes and wipes every structure for a run over `func`, keeping
@@ -219,12 +233,7 @@ impl GvnContext {
         self.nullified_blocks.clear();
         self.vi_cache.prepare(func.value_capacity());
         self.pi_cache.clear();
-        for o in &mut self.or_ops {
-            o.clear();
-        }
-        if self.or_ops.len() < func.block_capacity() {
-            self.or_ops.resize_with(func.block_capacity(), Vec::new);
-        }
+        self.pred_scratch.prepare(func.block_capacity());
     }
 
     /// Snapshot of the dominant allocation capacities (see

@@ -6,48 +6,41 @@ use super::*;
 
 impl Run<'_, '_, '_, '_> {
     pub(super) fn process_outgoing_edges(&mut self, b: Block) {
-        let Some(term) = self.func.terminator(b) else {
+        let func = self.func;
+        let Some(term) = func.terminator(b) else {
             return;
         };
-        let succs = self.func.succs(b).to_vec();
-        let term_kind = self.func.kind(term).clone();
-        let reachability: Vec<bool> = match &term_kind {
+        let succs = func.succs(b);
+        let term_kind = func.kind(term);
+        let taken = match *term_kind {
             InstKind::Return(_) => return,
-            InstKind::Jump => vec![true],
-            InstKind::Branch(cond) => {
-                if !self.cfg.unreachable_code_elim {
-                    vec![true, true]
-                } else {
-                    match self.classes.leader(self.classes.class_of(*cond)) {
-                        Leader::Const(k) => vec![k != 0, k == 0],
-                        Leader::Undetermined => vec![false, false],
-                        Leader::Value(_) => vec![true, true],
-                    }
-                }
+            InstKind::Jump => Taken::All,
+            InstKind::Branch(_) | InstKind::Switch(..) if !self.cfg.unreachable_code_elim => {
+                Taken::All
             }
-            InstKind::Switch(arg, cases) => {
-                if !self.cfg.unreachable_code_elim {
-                    vec![true; cases.len() + 1]
-                } else {
-                    match self.classes.leader(self.classes.class_of(*arg)) {
-                        Leader::Const(k) => {
-                            let hit = cases.iter().position(|&c| c == k).unwrap_or(cases.len());
-                            (0..=cases.len()).map(|i| i == hit).collect()
-                        }
-                        Leader::Undetermined => vec![false; cases.len() + 1],
-                        Leader::Value(_) => vec![true; cases.len() + 1],
+            InstKind::Branch(cond) => match self.classes.leader(self.classes.class_of(cond)) {
+                Leader::Const(k) => Taken::Only(usize::from(k == 0)),
+                Leader::Undetermined => Taken::None,
+                Leader::Value(_) => Taken::All,
+            },
+            InstKind::Switch(arg, ref cases) => {
+                match self.classes.leader(self.classes.class_of(arg)) {
+                    Leader::Const(k) => {
+                        Taken::Only(cases.iter().position(|&c| c == k).unwrap_or(cases.len()))
                     }
+                    Leader::Undetermined => Taken::None,
+                    Leader::Value(_) => Taken::All,
                 }
             }
             _ => unreachable!("terminator"),
         };
         for (i, &edge) in succs.iter().enumerate() {
-            if reachability[i] && self.reach_edges.insert(edge) {
+            if taken.includes(i) && self.reach_edges.insert(edge) {
                 self.any_change = true;
                 if let Some(rdt) = self.rdt.as_mut() {
                     rdt.add_edge(edge);
                 }
-                let d = self.func.edge_to(edge);
+                let d = func.edge_to(edge);
                 if self.reach_blocks.insert(d) {
                     self.touch_block_insts(d);
                     self.touched_blocks.insert(d);
@@ -55,16 +48,7 @@ impl Run<'_, '_, '_, '_> {
                     // The destination became a confluence node: touch its
                     // φs and conservatively re-run inference downstream
                     // (Figure 5 footnote 7).
-                    let phis: Vec<Inst> = self
-                        .func
-                        .block_insts(d)
-                        .iter()
-                        .copied()
-                        .filter(|&i2| self.func.kind(i2).is_phi())
-                        .collect();
-                    for p in phis {
-                        self.touch_inst(p);
-                    }
+                    self.touch_phis(d);
                     self.propagate_change_in_edge(edge);
                 }
             }
@@ -74,7 +58,7 @@ impl Run<'_, '_, '_, '_> {
         // extended to handle switch instructions"); the default edge has
         // no explicit predicate and stays ∅, exactly the case the paper
         // singles out.
-        if let InstKind::Switch(arg, cases) = &term_kind {
+        if let InstKind::Switch(arg, cases) = term_kind {
             if self.preds_enabled() {
                 let leader = match self.classes.leader(self.classes.class_of(*arg)) {
                     Leader::Value(l) => Some(l),
@@ -104,7 +88,7 @@ impl Run<'_, '_, '_, '_> {
                 }
             }
         }
-        if let InstKind::Branch(cond) = &term_kind {
+        if let InstKind::Branch(cond) = term_kind {
             if self.preds_enabled() {
                 let base = self.branch_predicate(*cond);
                 for (i, &edge) in succs.iter().enumerate() {
@@ -144,7 +128,8 @@ impl Run<'_, '_, '_, '_> {
                 return Some(Pred { op, lhs, rhs });
             }
         }
-        match self.func.kind(self.func.def(leader)).clone() {
+        let func = self.func;
+        match *func.kind(func.def(leader)) {
             InstKind::Cmp(op, a, b) => {
                 let ae = self.leader_expr(a)?;
                 let be = self.leader_expr(b)?;
@@ -176,14 +161,32 @@ impl Run<'_, '_, '_, '_> {
         if !self.preds_enabled() {
             return;
         }
-        let d = self.func.edge_to(edge);
-        let dn = self.rpo.number(d);
-        let order: Vec<Block> = self.rpo.order().to_vec();
-        for blk in order {
-            if self.rpo.number(blk) >= dn {
-                self.touch_block_insts(blk);
-                self.touched_blocks.insert(blk);
-            }
+        // The blocks numbered at or after the destination in RPO are
+        // exactly the tail of the order from its position.
+        let order = self.rpo.order();
+        let dn = self.rpo.number(self.func.edge_to(edge)) as usize;
+        for &blk in &order[dn.min(order.len())..] {
+            self.touch_block_insts(blk);
+            self.touched_blocks.insert(blk);
+        }
+    }
+}
+
+/// Which outgoing edges of a terminator are executable (Figure 5).
+#[derive(Clone, Copy)]
+enum Taken {
+    All,
+    None,
+    /// Only the edge at this successor index.
+    Only(usize),
+}
+
+impl Taken {
+    fn includes(self, i: usize) -> bool {
+        match self {
+            Taken::All => true,
+            Taken::None => false,
+            Taken::Only(j) => i == j,
         }
     }
 }

@@ -3,6 +3,7 @@
 //! products, canonical comparisons, and the §6 φ-distribution extension.
 
 use super::*;
+use std::borrow::Cow;
 
 impl Run<'_, '_, '_, '_> {
     /// The leader of `v`'s class as an expression; `None` while ⊥.
@@ -26,9 +27,10 @@ impl Run<'_, '_, '_, '_> {
 
     /// The linear form of an operand expression, honouring forward
     /// propagation through the defining expression of its class (§2.2).
-    pub(super) fn linear_of(&mut self, e: ExprId) -> LinearExpr {
+    /// A spliced defining expression is borrowed from the interner.
+    pub(super) fn linear_of(&self, e: ExprId) -> Cow<'_, LinearExpr> {
         if let Some(c) = self.interner.as_const(e) {
-            return LinearExpr::from_const(c);
+            return Cow::Owned(LinearExpr::from_const(c));
         }
         if let Some(v) = self.interner.as_value(e) {
             // Forward propagation: splice in the defining expression of
@@ -36,23 +38,23 @@ impl Run<'_, '_, '_, '_> {
             let class = self.classes.class_of(v);
             if let Some(def_e) = self.classes.expression(class) {
                 if let ExprKind::Linear(l) = self.interner.kind(def_e) {
-                    return l.clone();
+                    return Cow::Borrowed(l);
                 }
             }
-            return LinearExpr::from_value(v);
+            return Cow::Owned(LinearExpr::from_value(v));
         }
         // Compound non-linear expression: if it names a class, use its
         // leader as an atom; otherwise it cannot appear inside a linear
         // form and the caller falls back to an opaque Op node.
         if let Some(class) = self.classes.lookup(e) {
             if let Leader::Value(l) = self.classes.leader(class) {
-                return LinearExpr::from_value(l);
+                return Cow::Owned(LinearExpr::from_value(l));
             }
             if let Leader::Const(c) = self.classes.leader(class) {
-                return LinearExpr::from_const(c);
+                return Cow::Owned(LinearExpr::from_const(c));
             }
         }
-        LinearExpr::default()
+        Cow::Owned(LinearExpr::default())
     }
 
     /// Interns a linear expression, demoting to `Const`/`Leader` leaves.
@@ -70,8 +72,8 @@ impl Run<'_, '_, '_, '_> {
     /// by the caller so missing results are a recoverable invariant
     /// failure rather than a panic) in block `b`.
     pub(super) fn evaluate(&mut self, inst: Inst, v: Value, b: Block) -> Option<ExprId> {
-        let kind = self.func.kind(inst).clone();
-        let result = match kind {
+        let func = self.func;
+        let result = match *func.kind(inst) {
             InstKind::Const(c) => Some(self.interner.constant(c)),
             InstKind::Param(_) => Some(self.interner.intern(ExprKind::Unique(v))),
             InstKind::Opaque(t) => Some(self.interner.intern(ExprKind::Opaque(t))),
@@ -163,7 +165,7 @@ impl Run<'_, '_, '_, '_> {
         } else {
             (ae, be)
         };
-        self.interner.intern(ExprKind::Op(op, vec![ae, be]))
+        self.interner.intern_list(ListOp::Op(op), &[ae, be])
     }
 
     /// The §6 extension: distributes an operation over φ expressions with
@@ -306,15 +308,13 @@ impl Run<'_, '_, '_, '_> {
         be: ExprId,
     ) -> Option<LinearExpr> {
         let limit = self.cfg.forward_propagation_limit;
-        let la = self.linear_of(ae);
-        let lb = self.linear_of(be);
         let apply = |la: &LinearExpr, lb: &LinearExpr, rank_of: &[u32]| match op {
             BinOp::Add => la.add(lb),
             BinOp::Sub => la.sub(lb),
             BinOp::Mul => la.mul(lb, &|v: Value| rank_of[v.index()]),
             _ => unreachable!("combine_linear handles +, -, ×"),
         };
-        let out = apply(&la, &lb, &self.rank_of);
+        let out = apply(&self.linear_of(ae), &self.linear_of(be), self.rank_of);
         if out.size() <= limit {
             return Some(out);
         }
@@ -323,7 +323,7 @@ impl Run<'_, '_, '_, '_> {
         self.stats.reassoc_cap_hits += 1;
         let la = atomic_linear(self.interner, ae)?;
         let lb = atomic_linear(self.interner, be)?;
-        let out = apply(&la, &lb, &self.rank_of);
+        let out = apply(&la, &lb, self.rank_of);
         (out.size() <= limit).then_some(out)
     }
 

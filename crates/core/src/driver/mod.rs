@@ -15,15 +15,17 @@ mod inference;
 mod phi;
 mod phipred;
 
+pub(crate) use phipred::PredScratch;
+
 use crate::classes::{ClassId, Classes, Leader};
 use crate::config::{GvnConfig, Mode, Variant};
 use crate::context::{GvnContext, ViCache};
 use crate::error::{BudgetKind, FaultKind, FaultSite, GvnError};
-use crate::expr::{ExprId, ExprKind, Interner, PhiKey};
+use crate::expr::{ExprId, ExprKind, Interner, ListOp, PhiKey};
 use crate::linear::LinearExpr;
 use crate::predicate::{implies, Pred};
 use crate::results::{GvnResults, GvnStats, RunOutcome};
-use pgvn_analysis::{DomTree, PostDomTree, Ranks, ReachableDomTree, Rpo};
+use pgvn_analysis::{DomTree, PostDomTree, ReachableDomTree, Rpo};
 use pgvn_ir::{
     BinOp, Block, CmpOp, DefUse, Edge, EntityRef, EntitySet, Function, Inst, InstKind, UnOp, Value,
 };
@@ -182,19 +184,20 @@ fn classify(cfg: &GvnConfig, results: GvnResults) -> Result<GvnResults, GvnError
     }
 }
 
-/// One analysis run: per-function analyses (`rpo`, ranks, dominator
-/// trees, def-use) are owned and computed fresh per run, while all
-/// *scratch* state is `&mut`-borrowed from a [`GvnContext`] so capacity
-/// survives across runs. The `'c` lifetime is that borrow split.
+/// One analysis run: the per-function analyses (`rpo`, ranks, dominator
+/// trees, def-use) are recomputed at run start into [`GvnContext`]
+/// buffers and borrowed shared for the run, while all *scratch* state is
+/// `&mut`-borrowed from the context, so capacity survives across runs.
+/// The `'c` lifetime is that borrow split.
 struct Run<'f, 'c, 't, 's> {
     tel: &'t mut Telemetry<'s>,
     func: &'f Function,
     cfg: GvnConfig,
-    rpo: Rpo,
-    rank_of: Vec<u32>,
-    domtree: DomTree,
-    postdom: PostDomTree,
-    defuse: DefUse,
+    rpo: &'c Rpo,
+    rank_of: &'c [u32],
+    domtree: &'c DomTree,
+    postdom: &'c PostDomTree,
+    defuse: &'c DefUse,
     rdt: Option<ReachableDomTree>,
     interner: &'c mut Interner,
     classes: &'c mut Classes,
@@ -224,8 +227,12 @@ struct Run<'f, 'c, 't, 's> {
     /// §3: memo for predicate inference, keyed by starting block and
     /// canonical predicate.
     pi_cache: &'c mut HashMap<(Block, CmpOp, ExprId, ExprId), ExprId>,
-    /// φ-predication OR-operand scratch, recycled per traversal.
-    or_ops: &'c mut Vec<Vec<ExprId>>,
+    /// φ evaluation scratch: `(edge, argument)` pairs and the φ's
+    /// argument list.
+    phi_pairs: &'c mut Vec<(Edge, ExprId)>,
+    phi_args: &'c mut Vec<ExprId>,
+    /// φ-predication scratch, recycled per traversal.
+    pred_scratch: &'c mut PredScratch,
     stats: GvnStats,
     any_change: bool,
     /// Wall-clock deadline derived from the budget, checked per block.
@@ -243,15 +250,19 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         tel: &'t mut Telemetry<'s>,
     ) -> Self {
         let t0 = tel.clock();
-        let rpo = Rpo::compute(func);
-        let ranks = Ranks::assign(func, &rpo);
-        let rank_of: Vec<u32> =
-            (0..func.value_capacity()).map(|i| ranks.rank(Value::new(i))).collect();
-        let defuse = DefUse::compute(func);
+        ctx.rpo.recompute(func);
+        // §2.2 RANK: values numbered 1.. in RPO; unreachable ones keep 0.
+        ctx.rank_of.clear();
+        ctx.rank_of.resize(func.value_capacity(), 0);
+        let defined = ctx.rpo.order().iter().flat_map(|&b| func.block_insts(b));
+        for (rank, v) in (1..).zip(defined.filter_map(|&i| func.inst_result(i))) {
+            ctx.rank_of[v.index()] = rank;
+        }
+        ctx.defuse.recompute(func);
         tel.record_phase(Phase::Cfg, t0);
         let t0 = tel.clock();
-        let domtree = DomTree::compute(func, &rpo);
-        let postdom = PostDomTree::compute(func, &rpo);
+        ctx.domtree.recompute(func, &ctx.rpo);
+        ctx.postdom.recompute(func, &ctx.rpo);
         let rdt = (cfg.variant == Variant::Complete).then(|| ReachableDomTree::new(func));
         tel.record_phase(Phase::DomTree, t0);
         let deadline = cfg.budget.time_limit.map(|limit| Instant::now() + limit);
@@ -278,6 +289,11 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             });
         }
         let GvnContext {
+            rpo,
+            rank_of,
+            domtree,
+            postdom,
+            defuse,
             interner,
             classes,
             reach_blocks,
@@ -293,7 +309,9 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             nullified_blocks,
             vi_cache,
             pi_cache,
-            or_ops,
+            phi_pairs,
+            phi_args,
+            pred_scratch,
             ..
         } = ctx;
         Run {
@@ -321,7 +339,9 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             nullified_blocks,
             vi_cache,
             pi_cache,
-            or_ops,
+            phi_pairs,
+            phi_args,
+            pred_scratch,
             stats: GvnStats::default(),
             any_change: false,
             deadline,
@@ -370,16 +390,15 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         self.cfg.predicate_inference || self.cfg.value_inference || self.cfg.phi_predication
     }
 
-    fn touch_inst(&mut self, i: Inst) {
-        if self.touched_insts.insert(i) {
-            self.stats.touches += 1;
-        }
+    fn touch_block_insts(&mut self, b: Block) {
+        touch_each(self.touched_insts, &mut self.stats.touches, self.func.block_insts(b));
     }
 
-    fn touch_block_insts(&mut self, b: Block) {
-        for &i in self.func.block_insts(b) {
-            self.touch_inst(i);
-        }
+    /// Touches the φs of `b`.
+    fn touch_phis(&mut self, b: Block) {
+        let func = self.func;
+        let phis = func.block_insts(b).iter().filter(|&&i| func.kind(i).is_phi());
+        touch_each(self.touched_insts, &mut self.stats.touches, phis);
     }
 
     // -----------------------------------------------------------------
@@ -397,8 +416,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
         let start_everywhere =
             !self.cfg.unreachable_code_elim || self.cfg.mode == Mode::Pessimistic;
         if start_everywhere {
-            let order: Vec<Block> = self.rpo.order().to_vec();
-            for b in order {
+            for &b in self.rpo.order() {
                 self.reach_blocks.insert(b);
                 self.touch_block_insts(b);
                 self.touched_blocks.insert(b);
@@ -432,6 +450,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     }
 
     fn run_passes(&mut self) -> Result<RunOutcome, GvnError> {
+        let func = self.func;
         loop {
             if let Some(max) = self.cfg.budget.max_passes {
                 if self.stats.passes >= max {
@@ -450,8 +469,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
             self.tel.observe(Metric::DriverTouchedInstsPass, ti0);
             let snap = self.stats;
             let pass_t0 = self.tel.clock();
-            for bi in 0..self.rpo.order().len() {
-                let b = self.rpo.order()[bi];
+            for &b in self.rpo.order() {
                 if let Some(deadline) = self.deadline {
                     if Instant::now() >= deadline {
                         return Ok(RunOutcome::BudgetTime);
@@ -484,8 +502,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                     self.compute_block_predicate(b);
                     self.tel.record(Phase::PhiPredication, t0);
                 }
-                let insts = self.func.block_insts(b).to_vec();
-                for inst in insts {
+                for &inst in func.block_insts(b) {
                     if self.touched_insts.remove(inst) && self.reach_blocks.contains(b) {
                         self.stats.insts_processed += 1;
                         if pass > OSC_PASS_THRESHOLD && self.tel.is_tracing() {
@@ -534,9 +551,9 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                     if self.stats.passes >= MAX_PASSES {
                         return Ok(RunOutcome::NonConverged);
                     }
-                    let blocks: Vec<Block> = self.reach_blocks.iter().collect();
-                    for b in blocks {
-                        self.touch_block_insts(b);
+                    for b in self.reach_blocks.iter() {
+                        let insts = func.block_insts(b);
+                        touch_each(self.touched_insts, &mut self.stats.touches, insts);
                         self.touched_blocks.insert(b);
                     }
                     continue;
@@ -619,10 +636,7 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
                 self.tel.record(Phase::CongruenceMerge, t0);
                 if moved {
                     self.any_change = true;
-                    let users = self.defuse.uses(v).to_vec();
-                    for u in users {
-                        self.touch_inst(u);
-                    }
+                    touch_each(self.touched_insts, &mut self.stats.touches, self.defuse.uses(v));
                 }
             }
         }
@@ -687,6 +701,21 @@ impl<'f, 'c, 't, 's> Run<'f, 'c, 't, 's> {
     // -----------------------------------------------------------------
     // φ-predication (Figure 8)
     // -----------------------------------------------------------------
+}
+
+/// Adds `insts` to `TOUCHED`, counting each newly touched instruction.
+/// A free function so callers can pass borrowed slices of the routine or
+/// the def-use chains while `TOUCHED` is borrowed mutably.
+fn touch_each<'i>(
+    touched: &mut EntitySet<Inst>,
+    touches: &mut u64,
+    insts: impl IntoIterator<Item = &'i Inst>,
+) {
+    for &i in insts {
+        if touched.insert(i) {
+            *touches += 1;
+        }
+    }
 }
 
 #[cfg(test)]

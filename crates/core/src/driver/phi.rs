@@ -5,7 +5,7 @@ use super::*;
 
 impl Run<'_, '_, '_, '_> {
     pub(super) fn eval_phi(&mut self, v: Value, b: Block, args: &[Value]) -> Option<ExprId> {
-        let preds = self.func.preds(b).to_vec();
+        let preds = self.func.preds(b);
         if self.cfg.mode != Mode::Optimistic && preds.iter().any(|&e| self.rpo.is_back_edge(e)) {
             // Balanced/pessimistic: cyclic φs are unique values (§2.6).
             return Some(self.interner.intern(ExprKind::Unique(v)));
@@ -14,7 +14,10 @@ impl Run<'_, '_, '_, '_> {
         // that are still ⊥ are *ignored*, exactly like arguments on
         // unreachable edges: ⊥ is the optimistic "any value" assumption,
         // and dropping it is what lets mutually-dependent φ cycles resolve.
-        let mut pairs: Vec<(Edge, ExprId)> = Vec::with_capacity(args.len());
+        // The pair and argument lists are context scratch, taken for the
+        // evaluation and handed back below.
+        let mut pairs = std::mem::take(self.phi_pairs);
+        pairs.clear();
         let mut dropped_bottom = false;
         for (i, &e) in preds.iter().enumerate() {
             if !self.reach_edges.contains(e) {
@@ -25,47 +28,50 @@ impl Run<'_, '_, '_, '_> {
                 None => dropped_bottom = true,
             }
         }
-        if pairs.is_empty() {
-            return None;
-        }
-        // Reorder to CANONICAL[B] when the block predicate is known and
-        // the correspondence with reachable incoming edges is intact.
-        let key = match self.block_pred[b.index()] {
-            Some(p) if !dropped_bottom && self.canonical[b.index()].len() == pairs.len() => {
-                let canon = self.canonical[b.index()].clone();
-                let mut reordered = Vec::with_capacity(pairs.len());
-                let mut ok = true;
-                for e in canon {
+        let result =
+            if pairs.is_empty() { None } else { Some(self.phi_expr(b, &pairs, dropped_bottom)) };
+        *self.phi_pairs = pairs;
+        result
+    }
+
+    /// The φ expression over the evaluated `(edge, argument)` pairs: keyed
+    /// by the block predicate, in `CANONICAL[B]` order, when the predicate
+    /// is known and the correspondence with reachable incoming edges is
+    /// intact; keyed by the block otherwise.
+    fn phi_expr(&mut self, b: Block, pairs: &[(Edge, ExprId)], dropped_bottom: bool) -> ExprId {
+        let mut args = std::mem::take(self.phi_args);
+        args.clear();
+        let canon = &self.canonical[b.index()];
+        let mut key = PhiKey::Block(b);
+        if let Some(p) = self.block_pred[b.index()] {
+            if !dropped_bottom && canon.len() == pairs.len() {
+                for &e in canon {
                     match pairs.iter().find(|&&(pe, _)| pe == e) {
-                        Some(&p2) => reordered.push(p2),
-                        None => {
-                            ok = false;
-                            break;
-                        }
+                        Some(&(_, ae)) => args.push(ae),
+                        None => break,
                     }
                 }
-                if ok {
-                    pairs = reordered;
-                    PhiKey::Pred(p)
-                } else {
-                    PhiKey::Block(b)
+                if args.len() == canon.len() {
+                    key = PhiKey::Pred(p);
                 }
             }
-            _ => PhiKey::Block(b),
-        };
-        let arg_exprs: Vec<ExprId> = pairs.into_iter().map(|(_, ae)| ae).collect();
+        }
+        if key == PhiKey::Block(b) {
+            args.clear();
+            args.extend(pairs.iter().map(|&(_, ae)| ae));
+        }
         // All-congruent arguments reduce the φ (Figure 4 line 23). Note:
         // no "self-reference" shortcut here — reducing φ(x, self) → x in a
         // later pass would be a move *up* the lattice and break the
         // optimistic-to-pessimistic monotonicity that §4's termination
         // argument relies on. A φ that is its own class leader simply
         // hashes to its existing class through its Leader leaf.
-        if let [single, rest @ ..] = &arg_exprs[..] {
-            if rest.iter().all(|a| a == single) {
-                return Some(*single);
-            }
-        }
-        Some(self.interner.intern(ExprKind::Phi(key, arg_exprs)))
+        let e = match &args[..] {
+            [single, rest @ ..] if rest.iter().all(|a| a == single) => *single,
+            _ => self.interner.intern_list(ListOp::Phi(key), &args),
+        };
+        *self.phi_args = args;
+        e
     }
 
     pub(super) fn congruence_finding(
@@ -108,21 +114,21 @@ impl Run<'_, '_, '_, '_> {
         {
             // Leader departure (Figure 4 lines 52–56): elect the lowest-
             // ranked member, mark the class changed, re-evaluate members.
-            let members: Vec<Value> = self.classes.members(c0).collect();
-            let Some(new_leader) = members.iter().copied().min_by_key(|&m| (self.rank(m), m))
+            let rank_of = self.rank_of;
+            let Some(new_leader) =
+                self.classes.members(c0).min_by_key(|&m| (rank_of[m.index()], m))
             else {
                 return Err(GvnError::invariant(format!(
                     "class {c0} reported non-empty on leader departure of {v} but has no members"
                 )));
             };
             self.classes.set_leader(c0, Leader::Value(new_leader));
-            for m in members {
+            let func = self.func;
+            for m in self.classes.members(c0) {
                 self.changed.insert(m);
-                self.touch_inst(self.func.def(m));
-                let users = self.defuse.uses(m).to_vec();
-                for u in users {
-                    self.touch_inst(u);
-                }
+                let touches = &mut self.stats.touches;
+                touch_each(self.touched_insts, touches, [&func.def(m)]);
+                touch_each(self.touched_insts, touches, self.defuse.uses(m));
             }
         }
         Ok(true)

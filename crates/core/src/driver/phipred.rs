@@ -15,65 +15,50 @@ impl Run<'_, '_, '_, '_> {
             Some(rdt) => rdt.idom(self.func, b0),
             None => self.domtree.idom(b0),
         };
-        let new_pred;
-        let mut new_canon = Vec::new();
-        match d0 {
+        // The traversal borrows the context's scratch and hands it back
+        // below; `canonical` ends up holding the new CANONICAL order.
+        let mut ctx =
+            PredCtx { b0, aborted: false, incomplete: false, s: std::mem::take(self.pred_scratch) };
+        ctx.s.canonical.clear();
+        let new_pred = match d0 {
             Some(d0)
                 if d0 != b0 && self.postdom.postdominates(b0, d0) && reachable_incoming >= 1 =>
             {
-                // Recycle the per-block OR-operand table from the session
-                // context (empty inner vec = unvisited); it is cleared and
-                // returned below, so each traversal starts blank.
-                let mut or_ops = std::mem::take(self.or_ops);
-                for ops in &mut or_ops {
-                    ops.clear();
-                }
-                if or_ops.len() < self.func.block_capacity() {
-                    or_ops.resize_with(self.func.block_capacity(), Vec::new);
-                }
-                let mut ctx = PredCtx {
-                    b0,
-                    aborted: false,
-                    incomplete: false,
-                    canonical: Vec::new(),
-                    or_ops,
-                    result: Vec::new(),
-                };
+                ctx.s.result.clear();
                 self.compute_partial(d0, None, true, &mut ctx);
-                *self.or_ops = std::mem::take(&mut ctx.or_ops);
+                // Leave every OR-operand row empty (unvisited) for the next
+                // traversal, clearing only the rows this one filled.
+                for b in ctx.s.filled.drain(..) {
+                    ctx.s.or_ops[b.index()].clear();
+                }
                 if ctx.aborted && self.cfg.nullify_aborted_predicates {
                     self.nullified_blocks.insert(b0);
                 }
-                if ctx.aborted || ctx.incomplete || ctx.result.len() != reachable_incoming {
-                    new_pred = None;
+                if ctx.aborted || ctx.incomplete || ctx.s.result.len() != reachable_incoming {
+                    ctx.s.canonical.clear();
+                    None
                 } else {
-                    new_canon = ctx.canonical;
                     let t = self.interner.constant(1);
-                    let ops: Vec<ExprId> = ctx.result.iter().map(|o| o.unwrap_or(t)).collect();
-                    new_pred = if ops.len() == 1 {
-                        Some(ops[0])
+                    let ops = &mut ctx.s.operands;
+                    ops.clear();
+                    ops.extend(ctx.s.result.iter().map(|o| o.unwrap_or(t)));
+                    Some(if ops.len() == 1 {
+                        ops[0]
                     } else {
-                        Some(self.interner.intern(ExprKind::PredOr(ops)))
-                    };
+                        self.interner.intern_list(ListOp::PredOr, ops)
+                    })
                 }
             }
-            _ => new_pred = None,
-        }
-        if self.block_pred[b0.index()] != new_pred || self.canonical[b0.index()] != new_canon {
+            _ => None,
+        };
+        let canonical = &mut self.canonical[b0.index()];
+        if self.block_pred[b0.index()] != new_pred || *canonical != ctx.s.canonical {
             self.block_pred[b0.index()] = new_pred;
-            self.canonical[b0.index()] = new_canon;
-            let phis: Vec<Inst> = self
-                .func
-                .block_insts(b0)
-                .iter()
-                .copied()
-                .filter(|&i| self.func.kind(i).is_phi())
-                .collect();
-            for p in phis {
-                self.touch_inst(p);
-            }
+            std::mem::swap(canonical, &mut ctx.s.canonical);
+            self.touch_phis(b0);
             self.any_change = true;
         }
+        *self.pred_scratch = ctx.s;
     }
 
     pub(super) fn compute_partial(
@@ -93,7 +78,7 @@ impl Run<'_, '_, '_, '_> {
             // A path arrived at B0: record its predicate as the next OR
             // operand (correspondence with CANONICAL is kept by the
             // caller pushing the edge right after this call).
-            ctx.result.push(pp);
+            ctx.s.result.push(pp);
             return;
         }
         let partial = if ignore_incoming || reachable_in < 2 {
@@ -102,13 +87,19 @@ impl Run<'_, '_, '_, '_> {
             // A confluence node inside the region: accumulate one operand
             // per incoming path and proceed only once complete.
             let t = self.interner.constant(1);
-            let ops = &mut ctx.or_ops[b.index()];
+            let ops = &mut ctx.s.or_ops[b.index()];
+            if ops.is_empty() {
+                ctx.s.filled.push(b);
+            }
             ops.push(pp.unwrap_or(t));
             if ops.len() < reachable_in {
                 return;
             }
-            let ops = ops.clone();
-            Some(if ops.len() == 1 { ops[0] } else { self.interner.intern(ExprKind::PredOr(ops)) })
+            Some(if ops.len() == 1 {
+                ops[0]
+            } else {
+                self.interner.intern_list(ListOp::PredOr, ops)
+            })
         };
         // Skip-to-postdominator shortcut (Figure 8 lines 25–28).
         if let Some(d) = self.postdom.ipdom(b) {
@@ -117,7 +108,8 @@ impl Run<'_, '_, '_, '_> {
                 return;
             }
         }
-        let succs = self.canonical_succs(b);
+        let succs = self.func.succs(b);
+        let swap = self.canonical_swaps(succs);
         let reachable_out = succs.iter().filter(|&&e| self.reach_edges.contains(e)).count();
         // A split is *ambiguous* when two or more of its reachable edges
         // carry no predicate: a branch whose condition is constant or still
@@ -136,7 +128,8 @@ impl Run<'_, '_, '_, '_> {
                 .filter(|&&e| self.reach_edges.contains(e) && self.edge_pred[e.index()].is_none())
                 .count()
                 >= 2;
-        for e in succs {
+        for i in 0..succs.len() {
+            let e = succs[if swap { 1 - i } else { i }];
             if ctx.aborted || ctx.incomplete {
                 return;
             }
@@ -163,14 +156,14 @@ impl Run<'_, '_, '_, '_> {
                     (None, ep) => ep,
                     (pp2, None) => pp2,
                     (Some(a), Some(b2)) => {
-                        Some(self.interner.intern(ExprKind::PredAnd(vec![a, b2])))
+                        Some(self.interner.intern_list(ListOp::PredAnd, &[a, b2]))
                     }
                 }
             };
             let dest = self.func.edge_to(e);
             self.compute_partial(dest, ep, false, ctx);
             if dest == ctx.b0 {
-                ctx.canonical.push(e);
+                ctx.s.canonical.push(e);
             }
         }
     }
@@ -179,19 +172,14 @@ impl Run<'_, '_, '_, '_> {
         self.interner.intern(ExprKind::Cmp(p.op, p.lhs, p.rhs))
     }
 
-    /// Outgoing edges in canonical order (§2.8: "the outgoing edges are
-    /// arranged so that the predicate of the first outgoing edge has the
-    /// operator =, < or ≤").
-    pub(super) fn canonical_succs(&self, b: Block) -> Vec<Edge> {
-        let succs = self.func.succs(b).to_vec();
-        if succs.len() == 2 {
-            if let Some(p) = self.edge_pred[succs[0].index()] {
-                if !matches!(p.op, CmpOp::Eq | CmpOp::Lt | CmpOp::Le) {
-                    return vec![succs[1], succs[0]];
-                }
-            }
-        }
-        succs
+    /// Whether a block's outgoing edges `succs` are visited in swapped
+    /// order to be canonical (§2.8: "the outgoing edges are arranged so
+    /// that the predicate of the first outgoing edge has the operator =,
+    /// < or ≤").
+    pub(super) fn canonical_swaps(&self, succs: &[Edge]) -> bool {
+        succs.len() == 2
+            && self.edge_pred[succs[0].index()]
+                .is_some_and(|p| !matches!(p.op, CmpOp::Eq | CmpOp::Lt | CmpOp::Le))
     }
 }
 
@@ -201,9 +189,37 @@ pub(super) struct PredCtx {
     /// A path crossed a reachable multi-way split whose edge carries no
     /// predicate: the formula is unknowable *this pass* (not nullified).
     incomplete: bool,
-    canonical: Vec<Edge>,
-    /// Per-block accumulated OR operands; an empty vec means unvisited.
-    /// Borrowed from the session context for the traversal's duration.
+    /// The context's scratch, borrowed for the traversal's duration.
+    s: PredScratch,
+}
+
+/// φ-predication scratch, owned by the session context so traversals
+/// allocate nothing once warm.
+#[derive(Debug, Default)]
+pub(crate) struct PredScratch {
+    /// Per-block accumulated OR operands; an empty row means unvisited.
     or_ops: Vec<Vec<ExprId>>,
+    /// The blocks whose `or_ops` row the current traversal filled.
+    filled: Vec<Block>,
+    /// The traversal's `CANONICAL` edge order, one edge per path to B0.
+    canonical: Vec<Edge>,
+    /// The predicate of each path to B0 (`None` = true).
     result: Vec<Option<ExprId>>,
+    /// The OR operands of the block predicate being built.
+    operands: Vec<ExprId>,
+}
+
+impl PredScratch {
+    /// Sizes the OR-operand table for `blocks` blocks with every row
+    /// empty, keeping allocations (rows a panicked traversal left filled
+    /// are cleared here).
+    pub(crate) fn prepare(&mut self, blocks: usize) {
+        for ops in &mut self.or_ops {
+            ops.clear();
+        }
+        if self.or_ops.len() < blocks {
+            self.or_ops.resize_with(blocks, Vec::new);
+        }
+        self.filled.clear();
+    }
 }

@@ -8,8 +8,10 @@
 //! by φ-predication — is an integer comparison.
 
 use crate::linear::LinearExpr;
-use pgvn_ir::{BinOp, Block, CmpOp, UnOp, Value};
+use pgvn_ir::{BinOp, Block, CmpOp, EntityRef, UnOp, Value};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// An interned expression reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,10 +93,99 @@ pub enum ExprKind {
     PredOr(Vec<ExprId>),
 }
 
+/// The operator of a compound whose operands are a list of expressions;
+/// lets [`Interner::intern_list`] look such a compound up from a
+/// borrowed operand slice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum ListOp {
+    Op(BinOp),
+    Phi(PhiKey),
+    PredAnd,
+    PredOr,
+}
+
+impl ListOp {
+    fn kind(self, args: Vec<ExprId>) -> ExprKind {
+        match self {
+            ListOp::Op(op) => ExprKind::Op(op, args),
+            ListOp::Phi(key) => ExprKind::Phi(key, args),
+            ListOp::PredAnd => ExprKind::PredAnd(args),
+            ListOp::PredOr => ExprKind::PredOr(args),
+        }
+    }
+}
+
+/// A borrowed view of an [`ExprKind`]: what the hash-cons table hashes
+/// and compares, so a lookup never has to build an owned key.
+#[derive(PartialEq, Eq, Hash)]
+enum View<'a> {
+    Const(i64),
+    Leader(Value),
+    Unique(Value),
+    Opaque(u32),
+    Linear(&'a LinearExpr),
+    List(ListOp, &'a [ExprId]),
+    Un(UnOp, ExprId),
+    Cmp(CmpOp, ExprId, ExprId),
+}
+
+impl ExprKind {
+    fn view(&self) -> View<'_> {
+        match self {
+            ExprKind::Const(c) => View::Const(*c),
+            ExprKind::Leader(v) => View::Leader(*v),
+            ExprKind::Unique(v) => View::Unique(*v),
+            ExprKind::Opaque(t) => View::Opaque(*t),
+            ExprKind::Linear(l) => View::Linear(l),
+            ExprKind::Op(op, args) => View::List(ListOp::Op(*op), args),
+            ExprKind::Un(op, a) => View::Un(*op, *a),
+            ExprKind::Cmp(op, a, b) => View::Cmp(*op, *a, *b),
+            ExprKind::Phi(key, args) => View::List(ListOp::Phi(*key), args),
+            ExprKind::PredAnd(args) => View::List(ListOp::PredAnd, args),
+            ExprKind::PredOr(args) => View::List(ListOp::PredOr, args),
+        }
+    }
+}
+
+/// The table's hasher: its keys are already keyed SipHash values of the
+/// expressions, so it passes them through instead of hashing again.
+#[derive(Debug, Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the hash-cons table is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 /// The expression interner.
+///
+/// `Leader(v)` leaves — the most frequent lookup by far, since every
+/// operand of every evaluation is one — are interned through a dense
+/// per-value id table with no hashing. Every other kind is hashed once
+/// with a per-interner keyed SipHash (`RandomState`, so clients cannot
+/// choose colliding inputs) and found through the hash-cons table, which
+/// maps that hash to the newest id carrying it; older ids with the same
+/// 64-bit hash are chained. Lookups compare borrowed views, so a hit
+/// allocates nothing and a miss stores its expression once. Both paths
+/// hand out ids from the one arena in first-intern order and count hits
+/// and misses alike.
 #[derive(Debug, Default)]
 pub struct Interner {
-    map: HashMap<ExprKind, ExprId>,
+    table: HashMap<u64, ExprId, BuildHasherDefault<PreHashed>>,
+    keys: RandomState,
+    /// Per arena entry: the next older id in its hash chain.
+    chain: Vec<Option<ExprId>>,
+    /// `Leader(v)` ids by value index; `None` until first interned.
+    leaves: Vec<Option<ExprId>>,
     kinds: Vec<ExprKind>,
     hits: u64,
     misses: u64,
@@ -109,18 +200,54 @@ impl Interner {
 
     /// Interns `kind`, returning its stable id.
     pub fn intern(&mut self, kind: ExprKind) -> ExprId {
-        if let Some(&id) = self.map.get(&kind) {
-            self.hits += 1;
-            return id;
+        if let ExprKind::Leader(v) = kind {
+            return self.leader(v);
         }
+        let hash = self.keys.hash_one(kind.view());
+        match self.find(hash, kind.view()) {
+            Some(id) => id,
+            None => self.insert(hash, kind),
+        }
+    }
+
+    /// Interns the compound `op(args…)` from a borrowed operand list; the
+    /// list is copied only when the compound is new.
+    pub(crate) fn intern_list(&mut self, op: ListOp, args: &[ExprId]) -> ExprId {
+        let view = View::List(op, args);
+        let hash = self.keys.hash_one(&view);
+        match self.find(hash, view) {
+            Some(id) => id,
+            None => self.insert(hash, op.kind(args.to_vec())),
+        }
+    }
+
+    fn find(&mut self, hash: u64, view: View<'_>) -> Option<ExprId> {
+        let mut next = self.table.get(&hash).copied();
+        while let Some(id) = next {
+            if self.kinds[id.index()].view() == view {
+                self.hits += 1;
+                return Some(id);
+            }
+            next = self.chain[id.index()];
+        }
+        None
+    }
+
+    fn insert(&mut self, hash: u64, kind: ExprKind) -> ExprId {
         self.misses += 1;
-        let id = ExprId(self.kinds.len() as u32);
-        self.kinds.push(kind.clone());
-        let before = self.map.capacity();
-        self.map.insert(kind, id);
-        if self.map.capacity() > before {
+        let id = self.push(kind);
+        let before = self.table.capacity();
+        self.chain[id.index()] = self.table.insert(hash, id);
+        if self.table.capacity() > before {
             self.growths += 1;
         }
+        id
+    }
+
+    fn push(&mut self, kind: ExprKind) -> ExprId {
+        let id = ExprId(self.kinds.len() as u32);
+        self.kinds.push(kind);
+        self.chain.push(None);
         id
     }
 
@@ -129,7 +256,9 @@ impl Interner {
     /// reset — a reused interner performs no per-run capacity growth
     /// once warm.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.table.clear();
+        self.chain.clear();
+        self.leaves.clear();
         self.kinds.clear();
         self.hits = 0;
         self.misses = 0;
@@ -143,7 +272,7 @@ impl Interner {
 
     /// Capacity of the hash-cons table (amortization metric).
     pub fn table_capacity(&self) -> usize {
-        self.map.capacity()
+        self.table.capacity()
     }
 
     /// Lookups answered by the hash-cons table.
@@ -183,9 +312,20 @@ impl Interner {
         self.intern(ExprKind::Const(c))
     }
 
-    /// Shorthand: interns a leader leaf.
+    /// Shorthand: interns a leader leaf (through the dense leaf table).
     pub fn leader(&mut self, v: Value) -> ExprId {
-        self.intern(ExprKind::Leader(v))
+        let i = v.index();
+        if let Some(Some(id)) = self.leaves.get(i) {
+            self.hits += 1;
+            return *id;
+        }
+        self.misses += 1;
+        let id = self.push(ExprKind::Leader(v));
+        if i >= self.leaves.len() {
+            self.leaves.resize(i + 1, None);
+        }
+        self.leaves[i] = Some(id);
+        id
     }
 
     /// Returns the constant if `id` is a constant (directly or as a
@@ -322,7 +462,6 @@ impl Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgvn_ir::EntityRef;
 
     #[test]
     fn interning_is_idempotent() {
@@ -333,6 +472,55 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(i.len(), 2);
+    }
+
+    #[test]
+    fn leaves_share_the_arena_order_and_the_counters() {
+        let mut i = Interner::new();
+        let k = i.constant(7);
+        let x = i.leader(Value::new(40));
+        let y = i.intern(ExprKind::Leader(Value::new(3)));
+        let cmp = i.intern(ExprKind::Cmp(CmpOp::Lt, x, y));
+        // Ids come from one arena in first-intern order, whichever path.
+        let ids: Vec<usize> = [k, x, y, cmp].iter().map(|e| e.index()).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        assert_eq!((i.hits(), i.misses()), (0, 4));
+        assert_eq!(i.intern(ExprKind::Leader(Value::new(40))), x);
+        assert_eq!(i.leader(Value::new(3)), y);
+        assert_eq!((i.hits(), i.misses()), (2, 4));
+        assert_eq!(i.kind(x), &ExprKind::Leader(Value::new(40)));
+        assert_eq!(i.as_value(y), Some(Value::new(3)));
+        i.clear();
+        assert_eq!(i.leader(Value::new(3)), ExprId::from_raw(0), "clear forgets leaves");
+        assert_eq!((i.hits(), i.misses()), (0, 1));
+    }
+
+    #[test]
+    fn borrowed_lists_intern_like_owned_compounds() {
+        let mut i = Interner::new();
+        let x = i.leader(Value::new(1));
+        let y = i.leader(Value::new(2));
+        let owned = i.intern(ExprKind::PredOr(vec![x, y]));
+        assert_eq!(i.intern_list(ListOp::PredOr, &[x, y]), owned);
+        assert_ne!(i.intern_list(ListOp::PredAnd, &[x, y]), owned);
+        let phi = i.intern_list(ListOp::Phi(PhiKey::Block(Block::new(3))), &[y, x]);
+        assert_eq!(i.kind(phi), &ExprKind::Phi(PhiKey::Block(Block::new(3)), vec![y, x]));
+        assert_eq!(i.intern(ExprKind::Phi(PhiKey::Block(Block::new(3)), vec![y, x])), phi);
+        assert_eq!((i.hits(), i.misses()), (2, 5));
+    }
+
+    #[test]
+    fn colliding_hashes_chain_to_distinct_ids() {
+        // Force two different expressions onto one 64-bit hash.
+        let mut i = Interner::new();
+        let a = i.insert(7, ExprKind::Const(1));
+        let b = i.insert(7, ExprKind::Opaque(1));
+        assert_ne!(a, b);
+        assert_eq!(i.find(7, ExprKind::Const(1).view()), Some(a));
+        assert_eq!(i.find(7, ExprKind::Opaque(1).view()), Some(b));
+        assert_eq!(i.find(7, ExprKind::Const(2).view()), None);
+        assert_eq!(i.find(8, ExprKind::Const(1).view()), None);
+        assert_eq!((i.hits(), i.misses()), (2, 2));
     }
 
     #[test]

@@ -591,28 +591,62 @@ impl Function {
 /// Def-use information: for every value, the instructions that use it.
 ///
 /// Computed once from a finished function; the GVN analysis does not mutate
-/// the IR, so the chains stay valid for the whole run.
-#[derive(Clone, Debug)]
+/// the IR, so the chains stay valid for the whole run. The chains are
+/// stored as compressed rows — one offsets vector and one users vector —
+/// so computing them costs two allocations, not one per value.
+#[derive(Clone, Debug, Default)]
 pub struct DefUse {
-    uses: EntityVec<Value, Vec<Inst>>,
+    /// `users[offsets[v]..offsets[v + 1]]` are the instructions using `v`.
+    offsets: Vec<u32>,
+    users: Vec<Inst>,
 }
 
 impl DefUse {
     /// Computes def-use chains for `func`.
     pub fn compute(func: &Function) -> Self {
-        let mut uses: EntityVec<Value, Vec<Inst>> =
-            (0..func.values.len()).map(|_| Vec::new()).collect();
+        let mut du = DefUse::default();
+        du.recompute(func);
+        du
+    }
+
+    /// Recomputes the chains for `func` in place, keeping allocations.
+    pub fn recompute(&mut self, func: &Function) {
+        let n = func.values.len();
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        // Count each value's uses into the slot after its own, then turn
+        // the counts into row starts.
         for b in func.blocks() {
             for &inst in func.block_insts(b) {
-                func.kind(inst).visit_args(|v| uses[v].push(inst));
+                func.kind(inst).visit_args(|v| offsets[v.index() + 1] += 1);
             }
         }
-        DefUse { uses }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // Fill in the same order the counting pass walked, using
+        // `offsets[v]` as row `v`'s write cursor; afterwards it holds the
+        // row's end, and shifting by one restores the starts.
+        self.users.clear();
+        self.users.resize(offsets[n] as usize, Inst::new(0));
+        for b in func.blocks() {
+            for &inst in func.block_insts(b) {
+                func.kind(inst).visit_args(|v| {
+                    let at = &mut offsets[v.index()];
+                    self.users[*at as usize] = inst;
+                    *at += 1;
+                });
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
     }
 
     /// Returns the instructions using `value` (with multiplicity).
     pub fn uses(&self, value: Value) -> &[Inst] {
-        &self.uses[value]
+        let v = value.index();
+        &self.users[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 }
 
@@ -760,6 +794,33 @@ mod tests {
         assert_eq!(du.uses(a), &[f.def(c), f.def(c)]); // multiplicity
         assert_eq!(du.uses(c), &[f.terminator(b).unwrap()]);
         assert!(du.uses(one).contains(&f.def(a)));
+    }
+
+    #[test]
+    fn def_use_rows_match_per_value_lists_and_recompute_in_place() {
+        let (mut f, _entry, _t, _e, j, x, y) = diamond();
+        let phi = f.append_phi(j);
+        f.set_phi_args(phi, vec![x, y]);
+        let s = f.binary(j, BinOp::Add, phi, x);
+        f.set_return(j, s);
+        let mut naive: Vec<Vec<Inst>> = vec![Vec::new(); f.value_capacity()];
+        for b in f.blocks() {
+            for &inst in f.block_insts(b) {
+                f.kind(inst).visit_args(|v| naive[v.index()].push(inst));
+            }
+        }
+        let mut du = DefUse::compute(&f);
+        for (i, want) in naive.iter().enumerate() {
+            assert_eq!(du.uses(Value::new(i)), &want[..], "v{i}");
+        }
+        // Recomputing over a smaller function reuses the rows.
+        let small = Function::new("g", 2);
+        du.recompute(&small);
+        for i in 0..small.value_capacity() {
+            assert!(du.uses(Value::new(i)).is_empty());
+        }
+        du.recompute(&f);
+        assert_eq!(du.uses(x), &naive[x.index()][..]);
     }
 
     #[test]

@@ -104,6 +104,8 @@ struct Parser {
     next_opaque: u32,
     /// Nesting levels currently open (see [`MAX_NESTING`]).
     depth: usize,
+    /// Loop bodies currently open; `break` and `continue` need one.
+    loops: usize,
 }
 
 impl Parser {
@@ -226,6 +228,14 @@ impl Parser {
         })
     }
 
+    /// A `while`/`do` body: `break` and `continue` are allowed inside.
+    fn loop_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        self.loops += 1;
+        let body = self.stmt_or_block();
+        self.loops -= 1;
+        body
+    }
+
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         match self.peek() {
             Some(Token::If) => {
@@ -243,12 +253,12 @@ impl Parser {
                 self.eat(&Token::LParen)?;
                 let cond = self.expr()?;
                 self.eat(&Token::RParen)?;
-                let body = self.stmt_or_block()?;
+                let body = self.loop_body()?;
                 Ok(Stmt::While(cond, body))
             }
             Some(Token::Do) => {
                 self.pos += 1;
-                let body = self.stmt_or_block()?;
+                let body = self.loop_body()?;
                 self.eat(&Token::While)?;
                 self.eat(&Token::LParen)?;
                 let cond = self.expr()?;
@@ -259,6 +269,10 @@ impl Parser {
             Some(Token::Switch) => {
                 self.pos += 1;
                 self.switch()
+            }
+            Some(Token::Break) if self.loops == 0 => Err(self.error("`break` outside a loop")),
+            Some(Token::Continue) if self.loops == 0 => {
+                Err(self.error("`continue` outside a loop"))
             }
             Some(Token::Break) => {
                 self.pos += 1;
@@ -436,7 +450,7 @@ impl Parser {
 /// ```
 pub fn parse(src: &str) -> Result<Routine, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, next_opaque: 1_000_000, depth: 0 };
+    let mut p = Parser { toks, pos: 0, next_opaque: 1_000_000, depth: 0, loops: 0 };
     let r = p.routine()?;
     if p.pos != p.toks.len() {
         return Err(p.error("trailing input after routine"));
@@ -454,6 +468,29 @@ mod tests {
         assert_eq!(r.name, "f");
         assert!(r.params.is_empty());
         assert_eq!(r.body, vec![Stmt::Return(Expr::Int(0))]);
+    }
+
+    #[test]
+    fn break_and_continue_need_an_enclosing_loop() {
+        for (src, line, what) in [
+            ("routine f(a) { break; return a; }", 1, "`break` outside a loop"),
+            ("routine f(a) {\n  if (a) {\n    continue;\n  }\n  return a; }", 3, "`continue`"),
+            ("routine f(a) { while (a) { a = a - 1; } break; }", 1, "`break`"),
+            ("routine f(a) { switch (a) { case 1: break; } return a; }", 1, "`break`"),
+        ] {
+            let e = parse(src).expect_err(src);
+            assert_eq!(e.line, line, "{src}");
+            assert!(e.message.starts_with(what), "{src}: {}", e.message);
+        }
+        // Inside any loop body — nested in an `if` or a `switch` too.
+        for src in [
+            "routine f(a) { while (a) { break; } return a; }",
+            "routine f(a) { do { if (a) { continue; } a = 0; } while (a); return a; }",
+            "routine f(a) { while (a) { switch (a) { case 1: break; } a = 0; } return a; }",
+            "routine f(a) { while (a) { while (a) { a = 0; } continue; } return a; }",
+        ] {
+            assert!(parse(src).is_ok(), "{src}");
+        }
     }
 
     #[test]

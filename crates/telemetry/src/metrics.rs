@@ -408,8 +408,11 @@ impl Metric {
         )
     }
 
+    /// The metric's slot in [`METRICS`] (and in every registry and
+    /// snapshot). `METRICS` lists the variants in declaration order — a
+    /// unit test holds it to that — so the discriminant is the index.
     fn index(self) -> usize {
-        METRICS.iter().position(|m| *m == self).unwrap()
+        self as usize
     }
 }
 
@@ -496,6 +499,28 @@ impl MetricsRegistry {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
+    }
+
+    /// The change of the [`Metric::stable`] metrics since `earlier`, an
+    /// older snapshot of this registry, read in one pass: equal to
+    /// `self.snapshot().delta(earlier).stable_only()` without the two
+    /// intermediate copies. This is what each batch and serve record
+    /// embeds.
+    pub fn stable_delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut out = MetricsSnapshot::default();
+        for m in METRICS.into_iter().filter(|m| m.stable()) {
+            let i = m.index();
+            out.scalars[i] = match m.kind() {
+                MetricKind::Gauge => load(&self.scalars[i]),
+                _ => load(&self.scalars[i]).saturating_sub(earlier.scalars[i]),
+            };
+            out.sums[i] = load(&self.sums[i]).saturating_sub(earlier.sums[i]);
+            for b in i * NUM_BUCKETS..(i + 1) * NUM_BUCKETS {
+                out.buckets[b] = load(&self.buckets[b]).saturating_sub(earlier.buckets[b]);
+            }
+        }
+        out
     }
 
     /// A plain-data copy of the current values.
@@ -806,6 +831,39 @@ mod tests {
         assert_eq!(d.bucket(Metric::DriverPasses, 1), 1);
         assert_eq!(d.bucket(Metric::DriverPasses, 3), 0, "earlier observation removed");
         assert_eq!(d.value(Metric::ContextValueSlots), 9, "gauge keeps current value");
+    }
+
+    #[test]
+    fn catalog_index_is_the_declaration_order() {
+        for (i, m) in METRICS.into_iter().enumerate() {
+            assert_eq!(m.index(), i, "{}", m.name());
+        }
+    }
+
+    #[test]
+    fn stable_delta_equals_delta_then_stable_only() {
+        let record = |reg: &MetricsRegistry, salt: u64| {
+            for (i, m) in METRICS.into_iter().enumerate() {
+                let v = (i as u64 + 1) * salt;
+                match m.kind() {
+                    MetricKind::Counter => reg.add(m, v),
+                    MetricKind::Gauge => reg.gauge_max(m, v),
+                    MetricKind::Histogram => reg.observe(m, v << (i % 40)),
+                }
+            }
+        };
+        let reg = MetricsRegistry::new();
+        record(&reg, 3);
+        let before = reg.snapshot();
+        assert!(reg.stable_delta(&before).to_json().len() <= 2, "nothing changed yet");
+        record(&reg, 7);
+        record(&reg, 1);
+        let fused = reg.stable_delta(&before);
+        let reference = reg.snapshot().delta(&before).stable_only();
+        assert_eq!(fused, reference);
+        assert_eq!(fused.to_json(), reference.to_json());
+        assert!(fused.value(Metric::InternerHits) > 0);
+        assert!(fused.is_zero(Metric::InternerTableGrowths), "timing domain stays zero");
     }
 
     #[test]

@@ -358,7 +358,7 @@ pub(crate) fn process_one(
                     // counters (stable domain) land in the record.
                     let check =
                         opts.check.then(|| run_check(ctx, reg, &f, &CheckOptions::default()));
-                    let delta = reg.snapshot().delta(&before).stable_only();
+                    let delta = reg.stable_delta(&before);
                     w.field_str("status", "classified")
                         .field_u64("insts", insts as u64)
                         .field_raw("resilience", &rep.to_json())
